@@ -1,7 +1,7 @@
 """Complex reflection groups, braid orbits of reflection triples, and
 Painleve VI parameter bookkeeping with numerical isomonodromy checks."""
 
-from .cyclotomic import CycloNum, root_of_unity, log_root_of_unity, cyclo_arith
+from .cyclotomic import CycloNum, root_of_unity, log_root_of_unity
 from .linalg3 import Mat3, Spectrum, is_pseudo_reflection, finite_order_spectrum
 from .groups import GroupSpec, ReflectionGroup, build_group, enumerate_elements
 from .fingerprints import Fingerprint, TripleClass, fingerprint, classify_triples

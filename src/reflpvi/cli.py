@@ -303,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complex reflection groups, braid orbits and PVI parameters")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", help="write output to this path")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (accepted for compatibility; runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("groups", help="group catalogue")

@@ -395,21 +395,6 @@ class CycloNum:
     def __hash__(self):
         return hash(self.key())
 
-    def conjugate(self) -> "CycloNum":
-        """Complex conjugation: zeta -> zeta^(n-1)."""
-        return self.galois(-1)
-
-    def galois(self, k: int) -> "CycloNum":
-        """The automorphism zeta -> zeta^k for k coprime to the conductor."""
-        n = self.n
-        k %= n
-        if gcd(k, n) != 1:
-            raise ValueError("galois exponent must be coprime to the conductor")
-        out = [0] * n
-        for j, c in enumerate(self.nums):
-            out[(j * k) % n] += c
-        return CycloNum(n, reduce_power_coeffs(n, out), self.den)
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
         acc = 0j
@@ -503,19 +488,6 @@ def root_of_unity(n: int, k: int = 1) -> CycloNum:
     k %= n
     mono = [0] * k + [1]
     return CycloNum(n, reduce_power_coeffs(n, mono), 1)
-
-
-def cyclo_arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
-    """Dispatch helper mirroring the CLI surface: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def log_root_of_unity(c: CycloNum) -> Fraction:

@@ -80,7 +80,7 @@ def fingerprint(triple: Sequence[Mat3]) -> Fingerprint:
 
 
 def fingerprint_by_indices(group: ReflectionGroup, idx: Tuple[int, int, int]) -> Fingerprint:
-    """Same invariants computed through the group's memoized Cayley data."""
+    """Same invariants computed through the group's Cayley graph, by element index."""
     i, j, k = idx
     t1 = group.det_index(i)
     t2 = group.det_index(j)

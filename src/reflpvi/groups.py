@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycloNum, log_root_of_unity, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, nullspace
@@ -101,31 +101,48 @@ class GroupSpec:
         return tuple(sorted((3, m, 2 * m)))
 
 
-def enumerate_elements(generators: Sequence[Mat3], bound: Optional[int] = None) -> List[Mat3]:
-    """Breadth-first closure of a generating set; contains the identity."""
-    if bound is None:
-        bound = 1_000_000
+def _close(generators: Sequence[Mat3], bound: int):
+    """Breadth-first closure of a generating set, kept as its Cayley graph.
+
+    Returns, in discovery order with the identity first: the elements, the
+    columns right[g][i] = index of elements[i] * generators[g], the word of
+    generator letters that first reached each element, and each element's
+    determinant, multiplied along that first edge.
+    """
     n = 1
     for g in generators:
         n = n * g.n // gcd(n, g.n)
     gens = [g.lift(n) for g in generators]
+    gen_dets = [g.det() for g in gens]
     ident = Mat3.identity(n)
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                k = prod.key()
-                if k not in seen:
-                    if len(seen) >= bound:
-                        raise ClosureBoundError(
-                            f"closure exceeded safety bound {bound}")
-                    seen[k] = prod
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return list(seen.values())
+    index = {ident.key(): 0}
+    elements, words, dets = [ident], [()], [CycloNum.one(n)]
+    right: List[List[int]] = [[] for _ in gens]
+    i = 0
+    while i < len(elements):        # elements doubles as the BFS queue
+        x = elements[i]
+        for g, h in enumerate(gens):
+            prod = x * h
+            k = prod.key()
+            j = index.get(k)
+            if j is None:
+                if len(elements) >= bound:
+                    raise ClosureBoundError(
+                        f"closure exceeded safety bound {bound}")
+                j = index[k] = len(elements)
+                elements.append(prod)
+                words.append(words[i] + (g,))
+                dets.append(dets[i] * gen_dets[g])
+            right[g].append(j)
+        i += 1
+    return elements, right, words, dets
+
+
+def enumerate_elements(generators: Sequence[Mat3], bound: Optional[int] = None) -> List[Mat3]:
+    """Breadth-first closure of a generating set; contains the identity."""
+    if bound is None:
+        bound = 1_000_000
+    return _close(generators, bound)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +179,14 @@ def _icosahedral_standard_triple() -> List[Mat3]:
     return [m1, m2, m3]
 
 
-def _klein_generating_set() -> List[Mat3]:
+def _klein_generating_sets() -> Iterator[List[Mat3]]:
     """Order-336 symmetry group of the Klein quartic, extended by -1.
 
     Generated by a diagonal order-7 element, the coordinate 3-cycle, and
     the negative of the classical involution h with h^2 = 1 built from
-    zeta7^k - zeta7^(-k) over sqrt(-7).
+    zeta7^k - zeta7^(-k) over sqrt(-7).  The six normalizations of the
+    diagonal element come out in turn; the caller keeps the first one
+    whose closure has order 336.
     """
     z = root_of_unity(7, 1)
     sqrt_m7 = 1 + 2 * (z + z ** 2 + z ** 4)      # Gauss sum for conductor 7
@@ -179,16 +198,9 @@ def _klein_generating_set() -> List[Mat3]:
     if h * h != Mat3.identity(1):
         raise GroupValidationError("Klein involution failed h^2 = 1")
     tau = Mat3.permutation([1, 2, 0])
-    one = CycloNum.one(1)
     for e in (1, 2, 3, 4, 5, 6):
         sigma = Mat3.diag(z ** e, z ** (4 * e % 7), z ** (2 * e % 7))
-        try:
-            els = enumerate_elements([sigma, tau, -h], bound=3400)
-        except ClosureBoundError:
-            continue
-        if len(els) == 336:
-            return [sigma, tau, -h]
-    raise GroupValidationError("no diagonal normalization closed to order 336")
+        yield [sigma, tau, -h]
 
 
 def _hessian_generating_set(extended: bool) -> List[Mat3]:
@@ -208,6 +220,22 @@ def _hessian_generating_set(extended: bool) -> List[Mat3]:
 
 
 # -- Valentiner (order 2160) -------------------------------------------------
+
+def _reachable(start, moves: Sequence[Callable]) -> set:
+    """Everything reachable from `start` under repeated application of `moves`."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
 
 def _perm_mul(p: tuple, q: tuple) -> tuple:
     return tuple(p[q[i]] for i in range(len(q)))
@@ -257,8 +285,10 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
     K -> mu3 (K surjects onto C3); `twist` picks the character value on the
     order-3 generator.  `chirality` selects between the two 3-dimensional
     icosahedral representations (told apart by the trace of an order-5
-    element).  Only one (labeling, chirality, twist) combination closes to
-    order 2160, which the caller checks.
+    element).  The four twist-0 combinations fail the projective-extension
+    filter below; the other eight of the twelve (labeling, chirality,
+    twist) combinations all close to order 2160, and the caller keeps the
+    first in its search order.
     """
     h3 = enumerate_elements(_icosahedral_standard_triple(), bound=1300)
     if len(h3) != 120:
@@ -333,21 +363,10 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
     k1 = next(k for k in k_set if _perm_order(k) == 2)
     k2 = None
     for cand in k_set:
-        if _perm_order(cand) == 3:
-            closure = {tuple(range(len(pa)))}
-            frontier = [tuple(range(len(pa)))]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g in (k1, cand):
-                        q = _perm_mul(p, g)
-                        if q not in closure:
-                            closure.add(q)
-                            nxt.append(q)
-                frontier = nxt
-            if len(closure) == 12:
-                k2 = cand
-                break
+        moves = [lambda p, g=g: _perm_mul(p, g) for g in (k1, cand)]
+        if _perm_order(cand) == 3 and len(_reachable(tuple(range(len(pa))), moves)) == 12:
+            k2 = cand
+            break
     if k2 is None:
         raise GroupValidationError("no generating pair for the intersection subgroup")
 
@@ -411,86 +430,117 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
 # the group object
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _shared(values: Iterable[CycloNum]) -> Tuple[CycloNum, ...]:
+    """The values, with equal ones (all at one conductor) sharing one object."""
+    distinct: Dict[tuple, CycloNum] = {}
+    return tuple(distinct.setdefault((v.nums, v.den), v) for v in values)
+
+
+@dataclass(frozen=True)
+class _Cayley:
+    """A group's closure kept as its Cayley graph, by element index.
+
+    Elements are sorted by key().  right[g][i] is the index of
+    elements[i] times closure generator g, and elements[i] is the product
+    of the closure generators words[i], left to right, so every group
+    operation below is integer work with no matrix arithmetic.
+    """
+    elements: Tuple[Mat3, ...]
+    index: Dict[tuple, int]
+    right: Tuple[Tuple[int, ...], ...]
+    words: Tuple[Tuple[int, ...], ...]
+    traces: Tuple[CycloNum, ...]
+    dets: Tuple[CycloNum, ...]
+    identity: int
+
+    @staticmethod
+    def close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
+        elements, right, words, dets = _close(generators, bound)
+        order = sorted(range(len(elements)), key=lambda i: elements[i].key())
+        new = [0] * len(order)
+        for pos, old in enumerate(order):
+            new[old] = pos
+        elements = tuple(elements[i] for i in order)
+        return _Cayley(
+            elements=elements,
+            index={g.key(): i for i, g in enumerate(elements)},
+            right=tuple(tuple(new[col[i]] for i in order) for col in right),
+            words=tuple(words[i] for i in order),
+            traces=_shared(g.trace() for g in elements),
+            dets=_shared(dets[i] for i in order),
+            identity=new[0])
+
+    def product(self, i: int, j: int) -> int:
+        right = self.right
+        for g in self.words[j]:
+            i = right[g][i]
+        return i
+
+    def inverse(self, i: int) -> int:
+        # the last power of i before the identity
+        prev, x = self.identity, i
+        while x != self.identity:
+            prev, x = x, self.product(x, i)
+        return prev
+
+    def conjugacy_class(self, i: int) -> frozenset:
+        # x -> g^-1 x g for the closure generators g, which generate the group
+        conj = [(col, self.inverse(col[self.identity])) for col in self.right]
+        moves = [lambda x, col=col, g_inv=g_inv: col[self.product(g_inv, x)]
+                 for col, g_inv in conj]
+        return frozenset(_reachable(i, moves))
+
+    def generated_order(self, idx: Sequence[int]) -> int:
+        moves = [lambda x, g=g: self.product(x, g) for g in idx]
+        return len(_reachable(self.identity, moves))
+
+
+@dataclass(frozen=True)
 class ReflectionGroup:
+    """A validated reflection group; `build_group` makes it in one step."""
     spec: GroupSpec
     generators: Tuple[Mat3, Mat3, Mat3]          # standard generating triple
-    elements: Tuple[Mat3, ...]
     order: int
     degrees: Tuple[int, int, int]
     reflections: Tuple[Mat3, ...]
     reflections_single_class: bool
-    _index: Dict = field(repr=False, default_factory=dict)
-    _pmemo: Dict = field(repr=False, default_factory=dict)
-    _traces: Dict = field(repr=False, default_factory=dict)
-    _dets: Dict = field(repr=False, default_factory=dict)
-    _inv: Dict = field(repr=False, default_factory=dict)
-    _conj_gens: Tuple[int, ...] = field(repr=False, default_factory=tuple)
+    cayley: _Cayley = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self._index:
-            self._index = {g.key(): i for i, g in enumerate(self.elements)}
+    @property
+    def elements(self) -> Tuple[Mat3, ...]:
+        """All group elements, sorted by key(); element indices refer to this."""
+        return self.cayley.elements
 
-    # -- index-level helpers (lazily filled Cayley data) -------------------
+    # -- index-level operations, answered from the Cayley graph -------------
 
     def index_of(self, g: Mat3) -> int:
         try:
             k = g.lift(self.elements[0].n).key()
-            return self._index[k]
+            return self.cayley.index[k]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
 
     def identity_index(self) -> int:
-        return self.index_of(Mat3.identity(self.elements[0].n))
+        return self.cayley.identity
 
     def product_index(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._pmemo.get(key)
-        if k is None:
-            k = self.index_of(self.elements[i] * self.elements[j])
-            self._pmemo[key] = k
-        return k
+        return self.cayley.product(i, j)
 
     def inverse_index(self, i: int) -> int:
-        k = self._inv.get(i)
-        if k is None:
-            k = self.index_of(self.elements[i].inverse())
-            self._inv[i] = k
-        return k
+        return self.cayley.inverse(i)
 
     def trace_index(self, i: int) -> CycloNum:
-        tr = self._traces.get(i)
-        if tr is None:
-            tr = self.elements[i].trace()
-            self._traces[i] = tr
-        return tr
+        return self.cayley.traces[i]
 
     def det_index(self, i: int) -> CycloNum:
-        d = self._dets.get(i)
-        if d is None:
-            d = self.elements[i].det()
-            self._dets[i] = d
-        return d
+        return self.cayley.dets[i]
 
     def reflection_indices(self) -> List[int]:
         return [self.index_of(r) for r in self.reflections]
 
     def conjugacy_class(self, i: int) -> frozenset:
         """Indices of the conjugacy class of element i."""
-        gens = list(self._conj_gens) or [self.index_of(g) for g in self.generators]
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    gi = self.inverse_index(g)
-                    y = self.product_index(self.product_index(gi, x), g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return self.cayley.conjugacy_class(i)
 
     def generated_order(self, triple: Sequence[Mat3]) -> int:
         """Order of the subgroup generated by a triple of group elements."""
@@ -498,19 +548,7 @@ class ReflectionGroup:
         return self.generated_order_by_indices(idx)
 
     def generated_order_by_indices(self, idx: Sequence[int]) -> int:
-        ident = self.identity_index()
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in idx:
-                    y = self.product_index(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen)
+        return self.cayley.generated_order(idx)
 
     def to_dict(self) -> dict:
         return {
@@ -528,8 +566,8 @@ def reflections_of(elements: Sequence[Mat3]) -> List[Mat3]:
     return found
 
 
-def _standard_triple_exceptional(spec: GroupSpec, elements: List[Mat3],
-                                 refl: List[Mat3], group: "ReflectionGroup"):
+def _standard_triple_exceptional(spec: GroupSpec, cayley: _Cayley,
+                                 refl_idx: List[int]) -> Tuple[int, int, int]:
     """Find a generating triple whose product is a regular element realizing
     the exponent spectrum mu_i = (d_i - 1)/d_3; ordered with lambda ascending."""
     d1, d2, d3 = spec.degrees()
@@ -540,20 +578,20 @@ def _standard_triple_exceptional(spec: GroupSpec, elements: List[Mat3],
     e2t = (zpow[exps[0]] * zpow[exps[1]] + zpow[exps[0]] * zpow[exps[2]]
            + zpow[exps[1]] * zpow[exps[2]])
     e3t = zpow[sum(exps) % h]
+    dets, traces = cayley.dets, cayley.traces
 
     # group reflections into conjugacy classes
-    refl_idx = [group.index_of(r) for r in refl]
     classes: List[List[int]] = []
     assigned = set()
     for i in refl_idx:
         if i in assigned:
             continue
-        cls = group.conjugacy_class(i)
+        cls = cayley.conjugacy_class(i)
         classes.append(sorted(cls))
         assigned |= cls
 
     def lam(i):
-        return log_root_of_unity(group.elements[i].det())
+        return log_root_of_unity(dets[i])
 
     classes.sort(key=lambda cls: lam(cls[0]))
     candidates = []
@@ -561,10 +599,7 @@ def _standard_triple_exceptional(spec: GroupSpec, elements: List[Mat3],
         for c2 in classes:
             for c3 in classes:
                 if lam(c1[0]) <= lam(c2[0]) <= lam(c3[0]):
-                    det_prod = (group.elements[c1[0]].det()
-                                * group.elements[c2[0]].det()
-                                * group.elements[c3[0]].det())
-                    if det_prod == e3t:
+                    if dets[c1[0]] * dets[c2[0]] * dets[c3[0]] == e3t:
                         candidates.append((c1, c2, c3))
     # scan class tuples with the largest lambda signature first; when two
     # det-orientations both admit a regular triple this picks the one whose
@@ -573,99 +608,90 @@ def _standard_triple_exceptional(spec: GroupSpec, elements: List[Mat3],
                     reverse=True)
     for c1, c2, c3 in candidates:
         i1 = c1[0]                    # conjugation lets the first slot be fixed
-        r1 = group.elements[i1]
         for ia in c2:
-            pa = r1 * group.elements[ia]
+            pa = cayley.product(i1, ia)
             for ib in c3:
-                m = pa * group.elements[ib]
-                if m.trace() != e1t:
+                m = cayley.product(pa, ib)
+                if traces[m] != e1t:
                     continue
-                _, ce1, ce2, _ = m.charpoly()
-                if ce1 != e2t or -ce2 != e1t:
+                # det(m) = e3t already, so the characteristic polynomial
+                # matches once e2(m) = det(m) tr(m^-1) does
+                if dets[m] * traces[cayley.inverse(m)] != e2t:
                     continue
-                triple = [r1, group.elements[ia], group.elements[ib]]
-                if group.generated_order(triple) == group.order:
-                    return triple
+                if cayley.generated_order((i1, ia, ib)) == spec.expected_order():
+                    return (i1, ia, ib)
     raise GroupValidationError(
         f"no standard generating triple found for {spec.label()}")
 
 
-def build_group(spec: GroupSpec) -> ReflectionGroup:
-    """Construct, enumerate and validate a reflection group."""
-    expected = spec.expected_order()
-    degrees = spec.degrees()
+def _generating_sets(spec: GroupSpec) -> Iterator[List[Mat3]]:
+    """Candidate generating sets of the group, in search order."""
     if spec.kind == "imprimitive":
-        gens = _imprimitive_standard_triple(spec.m, spec.p)
-        explicit_triple = gens
+        yield _imprimitive_standard_triple(spec.m, spec.p)
     elif spec.name == "icosahedral":
-        gens = _icosahedral_standard_triple()
-        explicit_triple = gens
+        yield _icosahedral_standard_triple()
     elif spec.name == "G336":
-        gens = _klein_generating_set()
-        explicit_triple = None
-    elif spec.name == "G648":
-        gens = _hessian_generating_set(extended=False)
-        explicit_triple = None
-    elif spec.name == "G1296":
-        gens = _hessian_generating_set(extended=True)
-        explicit_triple = None
+        yield from _klein_generating_sets()
+    elif spec.name in ("G648", "G1296"):
+        yield _hessian_generating_set(extended=spec.name == "G1296")
     else:
-        explicit_triple = None
-        gens = None
         for exotic in (True, False):
             for chirality in (0, 1):
                 for twist in (0, 1, 2):
                     try:
-                        trial = _valentiner_generating_set(exotic, chirality, twist)
-                        if len(enumerate_elements(trial, bound=expected + 50)) == expected:
-                            gens = trial
-                            break
-                    except (ClosureBoundError, GroupValidationError):
+                        gens = _valentiner_generating_set(exotic, chirality, twist)
+                    except GroupValidationError:
                         continue
-                if gens is not None:
-                    break
-            if gens is not None:
-                break
-        if gens is None:
-            raise GroupValidationError("no labeling closes to the Valentiner order")
+                    yield gens
 
-    elements = enumerate_elements(gens, bound=10 * expected)
-    if len(elements) != expected:
+
+def build_group(spec: GroupSpec) -> ReflectionGroup:
+    """Construct, enumerate and validate a reflection group.
+
+    The group is the closure of the first candidate generating set whose
+    closure has exactly the expected order: the one standard triple of an
+    imprimitive group or H3, the one Hesse-pencil set, the first of six
+    Klein normalizations, or the first of the eight Valentiner (labeling,
+    chirality, twist) combinations that close.  That closure is the only
+    one made; every later step works on its Cayley graph.
+    """
+    expected = spec.expected_order()
+    degrees = spec.degrees()
+    for gens in _generating_sets(spec):
+        try:
+            cayley = _Cayley.close(gens, bound=expected)
+        except ClosureBoundError:
+            continue
+        if len(cayley.elements) == expected:
+            break
+    else:
         raise GroupValidationError(
-            f"{spec.label()}: closure has {len(elements)} elements, expected {expected}")
-    elements.sort(key=lambda g: g.key())
-    refl = reflections_of(elements)
+            f"{spec.label()}: no generating set closes to order {expected}")
+    refl = reflections_of(cayley.elements)
     if len(refl) != sum(d - 1 for d in degrees):
         raise GroupValidationError(
             f"{spec.label()}: {len(refl)} reflections, expected {sum(d - 1 for d in degrees)}")
     d1, d2, d3 = degrees
     if d1 * d2 * d3 != expected:
         raise GroupValidationError(f"{spec.label()}: degree product mismatch")
+    refl_idx = [cayley.index[r.key()] for r in refl]
 
-    group = ReflectionGroup(
-        spec=spec,
-        generators=tuple(gens[:3]) if explicit_triple else (refl[0], refl[0], refl[0]),
-        elements=tuple(elements),
-        order=expected,
-        degrees=degrees,
-        reflections=tuple(refl),
-        reflections_single_class=False,
-    )
-    lifted = [g.lift(elements[0].n) for g in gens]
-    group._conj_gens = tuple(group.index_of(g) for g in lifted)
-
-    if explicit_triple is not None:
-        triple = explicit_triple
-        # validate the explicit triple: reflections generating the full group
+    if spec.kind == "imprimitive" or spec.name == "icosahedral":
+        # the closure was made from this triple, so it generates the group
+        triple = tuple(gens)
         for r in triple:
             if is_pseudo_reflection(r) is None:
                 raise GroupValidationError(f"{spec.label()}: generator is not a reflection")
-        if group.generated_order(triple) != expected:
-            raise GroupValidationError(f"{spec.label()}: triple does not generate")
     else:
-        triple = _standard_triple_exceptional(spec, elements, refl, group)
-    group.generators = tuple(triple)
+        triple = tuple(cayley.elements[i]
+                       for i in _standard_triple_exceptional(spec, cayley, refl_idx))
 
-    first_class = group.conjugacy_class(group.index_of(refl[0]))
-    group.reflections_single_class = len(first_class & set(group.reflection_indices())) == len(refl)
-    return group
+    return ReflectionGroup(
+        spec=spec,
+        generators=triple,
+        order=expected,
+        degrees=degrees,
+        reflections=tuple(refl),
+        reflections_single_class=len(cayley.conjugacy_class(refl_idx[0])) == len(refl),
+        cayley=cayley,
+    )

@@ -229,26 +229,30 @@ def table1(specs: Iterable[GroupSpec] = DEFAULT_TABLE_SPECS,
 # ---------------------------------------------------------------------------
 
 def cubic_coeffs(lm: LambdaMu) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Constants (a, b, k, c) with w = c - x - y and p + q = a x + b y + k.
+    """Constants (a, b, k, c) with w = c - x - y and p + q = a x + b y + k,
+    for the lambdas and the power sums of the mus (`cubic_coeffs_from_sums`)."""
+    if not lm.sums_exact():
+        raise SumConstraintError(
+            "cubic constants need exactly matching lambda/mu sums; "
+            "use with_exact_sums() first")
+    m1, m2, m3 = lm.mus
+    return cubic_coeffs_from_sums(lm.lambdas, m1 * m1 + m2 * m2 + m3 * m3, m1 * m2 * m3)
 
-    Fixing the second and third symmetric functions of the product's
-    eigenvalues gives, for a matrix with diagonal (l1, l2, l3) and
-    eigenvalues (m1, m2, m3):
+
+def cubic_coeffs_from_sums(lambdas: Sequence[Fraction], mu_square_sum: Fraction,
+                           mu_product: Fraction) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Constants (a, b, k, c) of a matrix with diagonal (l1, l2, l3) whose
+    eigenvalues (m1, m2, m3) have sum m^2 = Tr(M^2) and m1 m2 m3 = det M:
 
         c = (sum m^2 - sum l^2) / 2
         a = l2 - l3,  b = l1 - l3
         k = m1 m2 m3 - l1 l2 l3 + l3 c
     """
-    if not lm.sums_exact():
-        raise SumConstraintError(
-            "cubic constants need exactly matching lambda/mu sums; "
-            "use with_exact_sums() first")
-    l1, l2, l3 = lm.lambdas
-    m1, m2, m3 = lm.mus
-    c = (m1 * m1 + m2 * m2 + m3 * m3 - l1 * l1 - l2 * l2 - l3 * l3) / 2
+    l1, l2, l3 = lambdas
+    c = (mu_square_sum - l1 * l1 - l2 * l2 - l3 * l3) / 2
     a = l2 - l3
     b = l1 - l3
-    k = m1 * m2 * m3 - l1 * l2 * l3 + l3 * c
+    k = mu_product - l1 * l2 * l3 + l3 * c
     return (a, b, k, c)
 
 

@@ -11,20 +11,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .params import LambdaMu, cubic_coeffs
+from .linalg3 import Mat3
+from .params import LambdaMu, cubic_coeffs, cubic_coeffs_from_sums
 from .schlesinger import sample_residues
 
 
 def cubic_rank_one_exact(rng: random.Random) -> bool:
-    """Identities for a random rational matrix with non-integral diagonal.
+    """`cubic_coeffs_from_sums` on a random rational matrix M with
+    non-integral diagonal (l1, l2, l3).
 
-    With w, x, y, p, q read off the off-diagonal entries,
+    Fed the diagonal, Tr(M^2) and det M, the constants must satisfy
 
-        Tr(M^2) = sum(l^2) + 2 (w + x + y)
-        det(M)  = l1 l2 l3 + p + q - l1 y - l2 x - l3 w
-        p q     = w x y
+        c = w + x + y,   p + q = a x + b y + k
 
-    which is exactly what the closed forms for c and k encode.
+    with w, x, y, p, q read off the off-diagonal entries.
     """
     lam = []
     for _ in range(3):
@@ -36,24 +36,13 @@ def cubic_rank_one_exact(rng: random.Random) -> bool:
     l1, l2, l3 = lam
     b12, b21, b13, b31, b23, b32 = (
         Fraction(rng.randrange(-6, 7), rng.randrange(1, 6)) for _ in range(6))
+    m = Mat3.from_rationals([[l1, b12, b13], [b21, l2, b23], [b31, b32, l3]])
+    a, b, k, c = cubic_coeffs_from_sums(lam, (m * m).trace().is_rational(),
+                                        m.det().is_rational())
     w, x, y = b12 * b21, b13 * b31, b23 * b32
     p = b12 * b23 * b31
     q = b13 * b32 * b21
-    tr_sq = (l1 * l1 + b12 * b21 + b13 * b31
-             + b21 * b12 + l2 * l2 + b23 * b32
-             + b31 * b13 + b32 * b23 + l3 * l3)
-    det = (l1 * (l2 * l3 - b23 * b32)
-           - b12 * (b21 * l3 - b23 * b31)
-           + b13 * (b21 * b32 - l2 * b31))
-    ok = tr_sq == l1 * l1 + l2 * l2 + l3 * l3 + 2 * (w + x + y)
-    ok = ok and det == l1 * l2 * l3 + p + q - l1 * y - l2 * x - l3 * w
-    ok = ok and p * q == w * x * y
-    # and the packaged constants agree when fed consistent eigenvalue data:
-    # choose mu with matching power sums via a fictitious exact spectrum
-    c_direct = w + x + y
-    k_direct = p + q - (l2 - l3) * x - (l1 - l3) * y
-    ok = ok and k_direct == det - l1 * l2 * l3 + l3 * c_direct
-    return ok
+    return c == w + x + y and p + q == a * x + b * y + k
 
 
 def cubic_rank_one_float(seed: int, count: int) -> float:

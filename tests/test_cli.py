@@ -42,6 +42,12 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_jobs_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "groups", "list"])
+    assert exc.value.code == 2
+
+
 def test_params_theta(capsys):
     code, out = run_cli(capsys, "params", "theta", "--spec", "G(3,1,3)")
     assert code == 0

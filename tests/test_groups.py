@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from fractions import Fraction
@@ -106,3 +109,20 @@ def test_group_serialization(g336):
 def test_lambda_representatives(g336):
     for r in g336.generators:
         assert log_root_of_unity(r.det()) == Fraction(1, 2)
+
+
+def test_index_core_matches_exact_arithmetic(g213, g333, icosa, g336):
+    rng = random.Random(29)
+    for group in (g213, g333, icosa, g336):
+        els = group.elements
+        for _ in range(30):
+            i, j = rng.randrange(len(els)), rng.randrange(len(els))
+            assert els[group.product_index(i, j)] == els[i] * els[j]
+            assert els[group.inverse_index(i)] == els[i].inverse()
+            assert group.trace_index(i) == els[i].trace()
+            assert group.det_index(i) == els[i].det()
+        r = group.reflections[0]
+        brute = {group.index_of(g.inverse() * r * g) for g in els}
+        assert group.conjugacy_class(group.index_of(r)) == brute
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.generators = group.generators
