@@ -22,18 +22,25 @@ class NotRootOfUnityError(ValueError):
     """Raised when a logarithm is requested of a non root of unity."""
 
 
+def _prime_divisors(n: int) -> list:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -130,16 +137,81 @@ def _normalize(nums: Iterable[int], den: int) -> Tuple[Tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _lift_rows(small: int, large: int) -> Tuple[Tuple[int, ...], ...]:
-    """Images of the power basis of Q(zeta_small) inside Q(zeta_large)."""
+def _lift_rows(small: int, large: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Images of the power basis of Q(zeta_small) inside Q(zeta_large).
+
+    Row j holds the nonzero (coordinate, coefficient) pairs of zeta_small^j
+    on the power basis of Q(zeta_large).
+    """
     assert large % small == 0
     step = large // small
     d_small = euler_phi(small)
     rows = []
     for j in range(d_small):
         mono = [0] * (step * j) + [1]
-        rows.append(tuple(reduce_power_coeffs(large, mono)))
+        image = reduce_power_coeffs(large, mono)
+        rows.append(tuple((i, r) for i, r in enumerate(image) if r))
     return tuple(rows)
+
+
+def _combine(coeffs: Sequence[int], rows, width: int) -> list:
+    """sum_j coeffs[j] * rows[j] for sparse integer rows, as a dense list."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+def _left_inverse(rows, width: int):
+    """Integer left inverse of independent sparse rows, on len(rows) coordinates.
+
+    Returns (solve, scale): if x = sum_j c_j rows[j], then
+    c_j = sum(v * x[i] for i, v in solve[j]) / scale.  Gauss-Jordan on the
+    equations sum_j rows[j][i] c_j = x[i], augmented with the unit vectors;
+    only pivot equations are ever subtracted from others, so each solve[j]
+    reads the pivot coordinates alone.  This is the only Fraction arithmetic of
+    the descent, and it runs once per (sub, n) pair.
+    """
+    m = len(rows)
+    dense = [dict(row) for row in rows]
+    mat = [[Fraction(r.get(i, 0)) for r in dense] + [Fraction(int(k == i)) for k in range(width)]
+           for i in range(width)]
+    for col in range(m):
+        piv = next(i for i in range(col, width) if mat[i][col])
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [v * inv for v in mat[col]]
+        for i in range(width):
+            if i != col and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[col])]
+    scale = 1
+    for row in mat[:m]:
+        for v in row[m:]:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+    solve = tuple(tuple((i, int(v * scale)) for i, v in enumerate(row[m:]) if v)
+                  for row in mat[:m])
+    return solve, scale
+
+
+@lru_cache(maxsize=None)
+def _descent_steps(n: int) -> tuple:
+    """(sub, rows, solve, scale) for each prime p | n, ascending, with sub = n/p.
+
+    rows are the lift rows of Q(zeta_sub) in Q(zeta_n) and (solve, scale)
+    their integer left inverse from `_left_inverse`.  When p^2 | n the
+    rows are the monomials zeta_n^(p j), so solve is the identity on the
+    coordinates p j and scale is 1.
+    """
+    steps = []
+    for p in _prime_divisors(n):
+        sub = n // p
+        rows = _lift_rows(sub, n)
+        solve, scale = _left_inverse(rows, euler_phi(n))
+        steps.append((sub, rows, solve, scale))
+    return tuple(steps)
 
 
 class CycloNum:
@@ -209,43 +281,34 @@ class CycloNum:
             return self
         if m % self.n != 0:
             raise ValueError("can only lift to a multiple of the conductor")
-        rows = _lift_rows(self.n, m)
-        out = [0] * euler_phi(m)
-        for j, c in enumerate(self.nums):
-            if c:
-                row = rows[j]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycloNum(m, out, self.den)
+        return CycloNum(m, _combine(self.nums, _lift_rows(self.n, m), euler_phi(m)), self.den)
 
     def _descend_once(self) -> Optional["CycloNum"]:
-        # Try to express the element in Q(zeta_{n/p}) for some prime p | n.
-        n = self.n
-        if n == 1:
-            return None
-        p = 2
-        primes = []
-        m = n
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        for p in primes:
-            sub = n // p
-            rows = _lift_rows(sub, n)
-            sol = _solve_in_span(rows, self.nums, self.den)
-            if sol is not None:
-                nums, den = sol
-                return CycloNum(sub, nums, den)
+        """The element in Q(zeta_{n/p}) for the smallest prime p | n that admits it.
+
+        For each p the sub-field coefficients are read off a few coordinates
+        by the precomputed integer left inverse of `_descent_steps` (one
+        integer mat-vec), then accepted only if lifting them back gives the
+        element exactly.  The coefficients are unique, so a candidate that
+        passes the lift-and-compare check is the answer.
+        """
+        nums = self.nums
+        width = len(nums)
+        for sub, rows, solve, scale in _descent_steps(self.n):
+            cand = [sum(v * nums[i] for i, v in eq) for eq in solve]
+            lifted = _combine(cand, rows, width)
+            if all(a == scale * b for a, b in zip(lifted, nums)):
+                return CycloNum(sub, cand, scale * self.den)
         return None
 
     def canonical(self) -> "CycloNum":
-        """Equivalent element at the minimal conductor."""
+        """Equivalent element at the minimal conductor.
+
+        Descends one prime at a time (`_descend_once`): an integer mat-vec
+        with a precomputed block inverse proposes the coefficients in the
+        sub-field, and an exact lift-and-compare accepts or rejects them.
+        No Fraction arithmetic runs per descent step.
+        """
         if self._canon is not None:
             return self._canon
         cur = self
@@ -438,47 +501,6 @@ def _poly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return out
-
-
-def _solve_in_span(rows, target_nums, target_den):
-    """Solve sum_j c_j * rows[j] = target over Q; return (nums, den) or None."""
-    m = len(rows)
-    if m == 0:
-        return None
-    width = len(rows[0])
-    # augmented columns: rows^T | target
-    mat = [[Fraction(rows[j][i]) for j in range(m)] + [Fraction(target_nums[i], target_den)]
-           for i in range(width)]
-    piv_cols = []
-    r = 0
-    for col in range(m):
-        piv = None
-        for i in range(r, width):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(width):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        piv_cols.append(col)
-        r += 1
-    # consistency: rows beyond rank must have zero RHS
-    for i in range(r, width):
-        if mat[i][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for idx, col in enumerate(piv_cols):
-        sol[col] = mat[idx][m]
-    den = 1
-    for f in sol:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return tuple(int(f * den) for f in sol), den
 
 
 def root_of_unity(n: int, k: int = 1) -> CycloNum:

@@ -667,7 +667,9 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     else:
         raise GroupValidationError(
             f"{spec.label()}: no generating set closes to order {expected}")
-    refl = reflections_of(cayley.elements)
+    # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2
+    refl = reflections_of([g for g, t, d in zip(cayley.elements, cayley.traces, cayley.dets)
+                           if t == d + 2])
     if len(refl) != sum(d - 1 for d in degrees):
         raise GroupValidationError(
             f"{spec.label()}: {len(refl)} reflections, expected {sum(d - 1 for d in degrees)}")

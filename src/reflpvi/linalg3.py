@@ -271,11 +271,8 @@ class Mat3:
         # Division-free via minors: cheap and exact for 3x3.
         if not self.det().is_zero():
             return 3
-        e = self.entries()
-        for r1, r2 in ((0, 1), (0, 2), (1, 2)):
-            for c1, c2 in ((0, 1), (0, 2), (1, 2)):
-                if not (e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]).is_zero():
-                    return 2
+        if not _minors_vanish(self.n, self.nums):
+            return 2
         if any(c for entry in self.nums for c in entry):
             return 1
         return 0
@@ -293,15 +290,46 @@ class Mat3:
         raise ValueError(f"element order exceeds bound {bound}")
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+# entry indices (a, d, b, c) of each 2x2 minor ad - bc of a 3x3 matrix
+_MINORS = tuple((3 * r1 + c1, 3 * r2 + c2, 3 * r1 + c2, 3 * r2 + c1)
+                for r1, r2 in _PAIRS for c1, c2 in _PAIRS)
+
+
+def _minors_vanish(n: int, nums: Sequence[Sequence[int]]) -> bool:
+    """True if every 2x2 minor of the nine integer entries is zero in Q(zeta_n).
+
+    Stops at the first nonzero minor.  A common denominator of the entries
+    does not change which minors vanish, so only numerators are used.
+    """
+    width = 2 * len(nums[0]) - 1
+    for a, d, b, c in _MINORS:
+        conv = [0] * width
+        for sign, x, y in ((1, nums[a], nums[d]), (-1, nums[b], nums[c])):
+            for p, xp in enumerate(x):
+                if xp:
+                    xp *= sign
+                    for q, yq in enumerate(y):
+                        if yq:
+                            conv[p + q] += xp * yq
+        if any(reduce_power_coeffs(n, conv)):
+            return False
+    return True
+
+
 def is_pseudo_reflection(m: Mat3) -> Optional[CycloNum]:
-    """The non-unit eigenvalue t if rank(M - I) = 1 and det(M) != 0, else None."""
-    d = m.det()
-    if d.is_zero():
+    """The non-unit eigenvalue t if rank(M - I) = 1 and det(M) != 0, else None.
+
+    If rank(M - I) = 1 then M = I + u v^T, whose eigenvalues are (1, 1, t)
+    with t = 1 + v^T u = det M = tr M - 2.  So the test is: M - I is
+    nonzero, its nine 2x2 minors vanish, and t = tr M - 2 is nonzero; no
+    3x3 determinant and no rank() call.
+    """
+    a = m - Mat3.identity(m.n)
+    if not any(c for entry in a.nums for c in entry) or not _minors_vanish(a.n, a.nums):
         return None
-    if (m - Mat3.identity(m.n)).rank() != 1:
-        return None
-    # eigenvalues are (1, 1, t), so t equals the determinant
-    return d
+    t = m.trace() - 2
+    return None if t.is_zero() else t
 
 
 class Spectrum:

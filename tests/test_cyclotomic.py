@@ -17,9 +17,9 @@ def small_rationals():
 
 
 @st.composite
-def cyclos(draw):
+def cyclos(draw, conductors=CONDUCTORS):
     from reflpvi.cyclotomic import euler_phi
-    n = draw(st.sampled_from(CONDUCTORS))
+    n = draw(st.sampled_from(conductors))
     coeffs = draw(st.lists(small_rationals(), min_size=euler_phi(n),
                            max_size=euler_phi(n)))
     return CycloNum.from_fractions(n, coeffs)
@@ -93,6 +93,42 @@ def test_inverse_and_canonical_idempotence(a):
     c = a.canonical()
     assert c.canonical().key() == c.key()
     assert c == a
+
+
+def _canonical_triple(a):
+    c = a.canonical()
+    # the descended element must still be the same complex number
+    assert abs(c.to_complex() - a.to_complex()) < 1e-9
+    return (c.n, c.den, c.nums)
+
+
+@given(cyclos(), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=40, deadline=None)
+def test_descent_undoes_lift(a, k):
+    # lift is a separate code path: descending its image must give back
+    # the canonical form of a
+    assert _canonical_triple(a.lift(a.n * k)) == _canonical_triple(a)
+
+
+# p exactly divides the lifted conductor (3->15, 5->15, 3->21) or p^2 does
+# (3->9, 9->27, 4->8)
+@pytest.mark.parametrize("n, k", [(3, 5), (5, 3), (3, 7), (3, 3), (9, 3), (4, 2)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_descent_undoes_lift_per_prime_pattern(n, k, data):
+    a = data.draw(cyclos(conductors=[n]))
+    assert _canonical_triple(a.lift(n * k)) == _canonical_triple(a)
+
+
+def test_descent_direct_cases():
+    assert root_of_unity(15, 1).canonical().n == 15
+    assert _canonical_triple(root_of_unity(15, 5)) == _canonical_triple(root_of_unity(3, 1))
+    assert root_of_unity(15, 5).canonical().n == 3
+    assert _canonical_triple(root_of_unity(15, 3)) == _canonical_triple(root_of_unity(5, 1))
+    assert root_of_unity(15, 3).canonical().n == 5
+    q = CycloNum.from_rational(Fraction(-7, 3)).lift(84)
+    assert q.n == 84
+    assert _canonical_triple(q) == (1, 3, (-7,))
 
 
 @given(cyclos(), cyclos())

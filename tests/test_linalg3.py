@@ -51,6 +51,25 @@ def test_is_pseudo_reflection():
     assert is_pseudo_reflection(Mat3.diag(m1, m1, one)) is None
 
 
+def test_is_pseudo_reflection_rank_one_edge_cases():
+    # M - I has rank one but t = tr M - 2 = det M = 0: not a pseudo-reflection
+    zero, one = CycloNum.zero(1), CycloNum.one(1)
+    assert is_pseudo_reflection(Mat3.diag(zero, one, one)) is None
+    # a transvection has rank(M - I) = 1 and t = det M = 1
+    assert is_pseudo_reflection(Mat3.from_rationals([[1, 1, 0], [0, 1, 0], [0, 0, 1]])) == one
+
+
+def test_is_pseudo_reflection_matches_rank_and_det(g213, g333, icosa, g336):
+    for group in (g213, g333, icosa, g336):
+        ident = Mat3.identity(group.elements[0].n)
+        for g in group.elements:
+            t = is_pseudo_reflection(g)
+            det = g.det()
+            assert (t is not None) == ((g - ident).rank() == 1 and not det.is_zero())
+            if t is not None:
+                assert (t.n, t.den, t.nums) == (det.n, det.den, det.nums)
+
+
 def test_reflection_trace_det_identity(g336, g333):
     # every reflection satisfies det = t and trace = 2 + t
     for group in (g336, g333):
