@@ -32,9 +32,9 @@ from .braid import orbit, orbit_partition
 from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
                      table1, theta_map, f_squared, f_hitchin_squared,
                      CubicForm, normalize_cubic)
-from .schlesinger import (sample_residues, diagonalize_gauge,
-                          integrate_schlesinger, reduced_flow_compare,
-                          eta_pvi_residual)
+from .schlesinger import (DegenerateSampleError, PathError, sample_residues,
+                          diagonalize_gauge, integrate_schlesinger,
+                          reduced_flow_compare, eta_pvi_residual)
 
 SCHEMA = 1
 
@@ -219,46 +219,54 @@ def cmd_verify(args) -> int:
 
     lm = LambdaMu((Fraction(1, 2),) * 3,
                   (Fraction(3, 14), Fraction(5, 14), Fraction(13, 14)))
-    config = diagonalize_gauge(sample_residues(lm, seed=args.seed))
-    if args.check == "schlesinger":
-        traj = integrate_schlesinger(config, [0.5, 0.8], tol=args.tol,
-                                     samples_per_segment=300)
-        if args.dump:
-            from .schlesinger import trajectory_csv
-            trajectory_csv(traj, args.dump)
-        rep = reduced_flow_compare(traj)
-        drift = traj.eigenvalue_drift()
-        ok = (drift < 1e-8 and rep.max_deviation < 1e-6
-              and rep.f_consistency < 1e-8)
-        _emit({"check": "schlesinger", "ok": ok,
-               "eigenvalue_drift": drift,
-               "reduced_flow_deviation": rep.max_deviation,
-               "f_squared_consistency": rep.f_consistency,
-               "conservation_drift": rep.conservation_drift,
-               "sign_flags": rep.sign_flags}, args)
-        return 0 if ok else 1
-    if args.check == "eta-pvi":
-        traj = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
-                                     samples_per_segment=100)
-        res = eta_pvi_residual(traj)
-        rows = []
-        ok = True
-        checked = 0
-        for slot, sr in sorted(res.items()):
-            if sr.skipped:
-                rows.append({"slot": f"{slot[0]+1}{slot[1]+1}",
-                             "skipped": sr.skipped})
-                continue
-            checked += 1
-            n_small = sum(1 for v in sr.residuals_by_perm.values() if v < 1e-3)
-            ok = ok and sr.residual < 1e-3 and n_small == 1
+    try:
+        config = diagonalize_gauge(sample_residues(lm, seed=args.seed))
+        payload = (_verify_schlesinger(config, args) if args.check == "schlesinger"
+                   else _verify_eta_pvi(config))
+    except (DegenerateSampleError, PathError) as exc:
+        payload = {"check": args.check, "ok": False, "error": str(exc)}
+    _emit(payload, args)
+    return 0 if payload["ok"] else 1
+
+
+def _verify_schlesinger(config, args) -> dict:
+    traj = integrate_schlesinger(config, [0.5, 0.8], tol=args.tol,
+                                 samples_per_segment=300)
+    if args.dump:
+        from .schlesinger import trajectory_csv
+        trajectory_csv(traj, args.dump)
+    rep = reduced_flow_compare(traj)
+    drift = traj.eigenvalue_drift()
+    ok = (drift < 1e-8 and rep.max_deviation < 1e-6
+          and rep.f_consistency < 1e-8)
+    return {"check": "schlesinger", "ok": ok,
+            "eigenvalue_drift": drift,
+            "reduced_flow_deviation": rep.max_deviation,
+            "f_squared_consistency": rep.f_consistency,
+            "conservation_drift": rep.conservation_drift,
+            "sign_flags": rep.sign_flags}
+
+
+def _verify_eta_pvi(config) -> dict:
+    traj = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
+                                 samples_per_segment=100)
+    res = eta_pvi_residual(traj)
+    rows = []
+    ok = True
+    checked = 0
+    for slot, sr in sorted(res.items()):
+        if sr.skipped:
             rows.append({"slot": f"{slot[0]+1}{slot[1]+1}",
-                         "residual": sr.residual,
-                         "perm": list(sr.best_perm)})
-        ok = ok and checked >= 1
-        _emit({"check": "eta-pvi", "ok": ok, "rows": rows}, args)
-        return 0 if ok else 1
-    raise SystemExit(2)
+                         "skipped": sr.skipped})
+            continue
+        checked += 1
+        n_small = sum(1 for v in sr.residuals_by_perm.values() if v < 1e-3)
+        ok = ok and sr.residual < 1e-3 and n_small == 1
+        rows.append({"slot": f"{slot[0]+1}{slot[1]+1}",
+                     "residual": sr.residual,
+                     "perm": list(sr.best_perm)})
+    ok = ok and checked >= 1
+    return {"check": "eta-pvi", "ok": ok, "rows": rows}
 
 
 def cmd_reproduce(args) -> int:

@@ -14,6 +14,7 @@ against the sixth Painleve equation by finite differences.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,8 +112,21 @@ def sample_residues(lm: LambdaMu, seed: int, max_tries: int = 50) -> ResidueConf
     raise DegenerateSampleError(f"no valid sample after {max_tries} draws")
 
 
+# Largest condition number accepted for the eigenvector matrix of B4: past
+# 1/sqrt(machine eps) the conjugated residues lose half their digits.
+_MAX_GAUGE_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
 def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
-    """Conjugate the quadruple so B4 = diag(-mu1, -mu2, -mu3)."""
+    """Conjugate the quadruple so B4 = diag(-mu1, -mu2, -mu3).
+
+    Raises DegenerateSampleError when the eigenvectors of B4 do not form a
+    basis (condition number above 1/sqrt(machine eps)).  That happens for a
+    repeated mu whose eigenspace is one-dimensional, as for G(3,3,3) with
+    mu = (1/3, 1/3, 5/6): B4 is then not diagonalisable, and conjugating by
+    the near-singular eigenvector matrix would give residues with entries
+    near 1e8 and a flow no integrator finishes.
+    """
     vals, vecs = np.linalg.eig(config.b4)
     target = [-float(m) for m in config.lm.mus]
     cols = []
@@ -123,6 +137,13 @@ def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
         used.add(j)
         cols.append(vecs[:, j])
     p = np.column_stack(cols)
+    cond = np.linalg.cond(p)
+    if cond > _MAX_GAUGE_COND:
+        mus = ", ".join(map(str, config.lm.mus))
+        raise DegenerateSampleError(
+            f"B4 has no eigenbasis: mu = ({mus}) repeats a value whose "
+            f"eigenspace is not full (eigenvector condition number "
+            f"{cond:.2e} > {_MAX_GAUGE_COND:.2e})")
     pinv = np.linalg.inv(p)
     return ResidueConfig(
         pinv @ config.b1 @ p, pinv @ config.b2 @ p,
@@ -161,10 +182,8 @@ class Trajectory:
         """Max drift of the sorted eigenvalue triples of B1, B2, B3 from t0."""
         drift = 0.0
         for bs in (self.b1s, self.b2s, self.b3s()):
-            ref = np.sort_complex(np.linalg.eigvals(bs[0]))
-            for k in range(len(self.ts)):
-                cur = np.sort_complex(np.linalg.eigvals(bs[k]))
-                drift = max(drift, float(np.abs(cur - ref).max()))
+            eigs = np.sort(np.linalg.eigvals(bs), axis=-1)
+            drift = max(drift, float(np.abs(eigs - eigs[0]).max()))
         return drift
 
     def to_rows(self) -> List[dict]:
@@ -198,8 +217,12 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     """Integrate the residue flow along a piecewise-linear path.
 
     B4 stays constant; B3 is recovered from the zero-sum constraint.  The
-    state is advanced per segment with an adaptive Runge-Kutta 5(4) pair at
-    local tolerance `tol` and sampled at `samples_per_segment` points.
+    state is the stacked pair (B1, B2) split into 18 real and 18 imaginary
+    parts; both commutators [B3, B1] / t and [B3, B2] / (t - 1) are taken as
+    one stacked product.  Each segment is advanced with an adaptive
+    Runge-Kutta 5(4) pair at local tolerance `tol` and sampled at
+    `samples_per_segment` points.  Raises PathError when the path comes
+    within `min_distance` of t = 0 or t = 1, or when a segment fails.
     """
     t_eval_all = _path_points(t_path, samples_per_segment)
     if np.min(np.abs(t_eval_all)) < min_distance or \
@@ -208,45 +231,36 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
 
     b4 = config.b4.copy()
 
-    def pack(b1, b2):
-        z = np.concatenate([b1.ravel(), b2.ravel()])
-        return np.concatenate([z.real, z.imag])
-
-    def unpack(state):
-        z = state[:18] + 1j * state[18:]
-        return z[:9].reshape(3, 3), z[9:].reshape(3, 3)
-
-    ts_out = [t_eval_all[0]]
-    b1_out = [config.b1.copy()]
-    b2_out = [config.b2.copy()]
-    state = pack(config.b1, config.b2)
-    n = samples_per_segment
+    z0 = np.concatenate([config.b1.ravel(), config.b2.ravel()])
+    state = np.concatenate([z0.real, z0.imag])
+    s_eval = np.linspace(0.0, 1.0, samples_per_segment + 1)
+    ts_out = [t_eval_all[:1]]
+    bb_out = [np.stack([config.b1, config.b2])[None]]
     for seg in range(len(t_path) - 1):
         a, b = complex(t_path[seg]), complex(t_path[seg + 1])
         dt = b - a
 
         def rhs(s, y):
-            b1, b2 = unpack(y)
+            bb = (y[:18] + 1j * y[18:]).reshape(2, 3, 3)
             t = a + s * dt
-            b3 = -b4 - b1 - b2
-            d1 = (b3 @ b1 - b1 @ b3) / t
-            d2 = (b3 @ b2 - b2 @ b3) / (t - 1.0)
-            return pack(d1 * dt, d2 * dt)
+            b3 = -b4 - bb[0] - bb[1]
+            d = ((b3 @ bb - bb @ b3) / np.array([t, t - 1.0])[:, None, None]
+                 * dt).ravel()
+            return np.concatenate([d.real, d.imag])
 
-        s_eval = np.linspace(0.0, 1.0, n + 1)
         sol = solve_ivp(rhs, (0.0, 1.0), state, method="RK45",
                         rtol=tol, atol=tol * 1e-2, t_eval=s_eval,
                         dense_output=False, max_step=0.05)
         if not sol.success:
             raise PathError(f"integration failed on segment {seg}: {sol.message}")
-        for idx in range(1, len(s_eval)):
-            b1k, b2k = unpack(sol.y[:, idx])
-            ts_out.append(a + s_eval[idx] * dt)
-            b1_out.append(b1k)
-            b2_out.append(b2k)
+        ys = sol.y[:, 1:]
+        ts_out.append(a + s_eval[1:] * dt)
+        bb_out.append((ys[:18] + 1j * ys[18:]).T.reshape(-1, 2, 3, 3))
         state = sol.y[:, -1]
 
-    return Trajectory(np.asarray(ts_out), np.asarray(b1_out), np.asarray(b2_out),
+    bb = np.concatenate(bb_out)
+    # contiguous copies: einsum's summation order depends on the strides
+    return Trajectory(np.concatenate(ts_out), bb[:, 0].copy(), bb[:, 1].copy(),
                       b4, config.lm, config)
 
 
@@ -271,28 +285,31 @@ def reduced_flow_compare(traj: Trajectory, substeps: int = 4) -> ReducedFlowRepo
     xs_m = traj.xs()
     ys_m = traj.ys()
     fs_m = traj.fs()
-    x, y = complex(xs_m[0]), complex(ys_m[0])
-    f_prev = complex(fs_m[0])
     flags = 0
-    max_dev = 0.0
 
     def f_value(x, y, ref):
         nonlocal flags
-        root = np.sqrt(complex(f2(x, y)))
+        root = cmath.sqrt(f2(x, y))
         if abs(root) < 1e-10:
             flags += 1
         return root if abs(root - ref) <= abs(-root - ref) else -root
 
-    for k in range(len(traj.ts) - 1):
-        t0c, t1c = complex(traj.ts[k]), complex(traj.ts[k + 1])
+    def deriv(t, x, y, ref):
+        f = f_value(x, y, ref)
+        return f / (t - 1.0), -f / t, f
+
+    # the RK4 below is sequential, so it runs on Python complex numbers:
+    # numpy scalar arithmetic costs several times more per operation
+    ts = traj.ts.tolist()
+    xs_l, ys_l = xs_m.tolist(), ys_m.tolist()
+    x, y = xs_l[0], ys_l[0]
+    f_prev = complex(fs_m[0])
+    max_dev = 0.0
+    for k in range(len(ts) - 1):
+        t0c, t1c = ts[k], ts[k + 1]
         h = (t1c - t0c) / substeps
         for s in range(substeps):
             t = t0c + s * h
-
-            def deriv(t, x, y, ref):
-                f = f_value(x, y, ref)
-                return f / (t - 1.0), -f / t, f
-
             k1x, k1y, fref = deriv(t, x, y, f_prev)
             k2x, k2y, _ = deriv(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y, fref)
             k3x, k3y, _ = deriv(t + h / 2, x + h / 2 * k2x, y + h / 2 * k2y, fref)
@@ -300,13 +317,11 @@ def reduced_flow_compare(traj: Trajectory, substeps: int = 4) -> ReducedFlowRepo
             x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
             y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
             f_prev = f_value(x, y, fref)
-        max_dev = max(max_dev,
-                      abs(x - xs_m[k + 1]), abs(y - ys_m[k + 1]))
+        max_dev = max(max_dev, abs(x - xs_l[k + 1]), abs(y - ys_l[k + 1]))
 
     wxy = traj.ws() + xs_m + ys_m
     conservation = float(np.abs(wxy - wxy[0]).max())
-    f_cons = float(max(abs(fs_m[k] ** 2 - f2(xs_m[k], ys_m[k]))
-                       for k in range(len(traj.ts))))
+    f_cons = float(np.abs(fs_m ** 2 - f2(xs_m, ys_m)).max())
     return ReducedFlowReport(float(max_dev), flags, conservation, f_cons)
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from reflpvi import cli
 from reflpvi.cli import main
+from reflpvi.schlesinger import DegenerateSampleError, PathError
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,25 @@ def test_verify_cubic(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["float_max_error"] < 1e-10
+
+
+@pytest.mark.parametrize("check", ["schlesinger", "eta-pvi"])
+def test_verify_float_layer(capsys, check):
+    code, out = run_cli(capsys, "verify", check, "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("error", [DegenerateSampleError, PathError])
+@pytest.mark.parametrize("check", ["schlesinger", "eta-pvi"])
+def test_verify_float_layer_reports_refusal(capsys, monkeypatch, check, error):
+    def refuse(lm, seed):
+        raise error("B4 has no eigenbasis")
+    monkeypatch.setattr(cli, "sample_residues", refuse)
+    code, out = run_cli(capsys, "verify", check, "--seed", "1")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "check": check, "ok": False,
+                               "error": "B4 has no eigenbasis"}
 
 
 def test_orbits_small_group(capsys):
