@@ -1,24 +1,34 @@
-"""Braid group action on reflection triples and induced quintuple maps.
+"""Braid group action on reflection triples and induced fingerprint maps.
 
 The three-string braid group acts on triples by
 
     beta1(r1, r2, r3) = (r2, r2^-1 r1 r2, r3)
     beta2(r1, r2, r3) = (r1, r3, r3^-1 r2 r3)
 
-For triples of order-2 reflections the action descends to polynomial maps
-of the fingerprint quintuple (w, x, y, p, q).  Deriving those maps from
-the trace identities gives
+For pseudo-reflections of any order the action descends to rational maps
+of the fingerprint (t1, t2, t3, w, x, y, p, q).  Write r_i = 1 + e_i (x) alpha_i
+and a_ij = alpha_i(e_j), so t_i = 1 + a_ii, r_i^-1 = 1 - e_i (x) alpha_i / t_i,
 
-    beta1: (w, y, x + p + q + wy, -q - wy, -p - wy)
-    beta2: (x, w + p + q + xy, y, -q - xy, -p - xy)
+    w = a12 a21,  x = a13 a31,  y = a23 a32,
+    p = a12 a23 a31,  q = a13 a32 a21.
 
-with the inverse letters given by the companion pair
+Conjugating r1 by r2 replaces e1 by e1 - (a21/t2) e2 and alpha1 by
+alpha1 + a12 alpha2; reading off the new a_ij gives, with one shorthand
+value u per letter,
 
-    beta1^-1: (w, y + p + q + wx, x, -q - wx, -p - wx)
-    beta2^-1: (x + p + q + wy, w, y, -q - wy, -p - wy)
+    beta1:    t -> (t2, t1, t3),  u = (q + wy)/t2,
+              (w, x, y, p, q) -> (w, y, x + p - u, u, t2 p - wy)
+    beta2:    t -> (t1, t3, t2),  u = (q + xy)/t3,
+              (w, x, y, p, q) -> (x, w + p - u, y, u, t3 p - xy)
+    beta1^-1: t -> (t2, t1, t3),  u = (q + wx)/t1,
+              (w, x, y, p, q) -> (w, y + p - u, x, u, t1 p - wx)
+    beta2^-1: t -> (t1, t3, t2),  u = (q + wy)/t2,
+              (w, x, y, p, q) -> (x + p - u, w, y, u, t2 p - wy)
 
-All four satisfy fingerprint(beta(T)) = beta_hat(fingerprint(T)) exactly,
-which the test suite checks on whole groups.
+At t1 = t2 = t3 = -1 these are the polynomial maps of the real case.  All
+four satisfy fingerprint(beta(T)) = beta_hat(fingerprint(T)) exactly,
+which the test suite checks on whole groups, so braid orbits are walked on
+fingerprints alone.
 """
 
 from __future__ import annotations
@@ -30,10 +40,6 @@ from .linalg3 import Mat3
 from .fingerprints import Fingerprint, TripleClass, fingerprint
 
 LETTERS = ("b1", "b2", "b1i", "b2i")
-
-
-class UnsupportedFingerprintActionError(ValueError):
-    """Quintuple-level action asked for a triple with some t_i != -1."""
 
 
 class OrbitBoundError(RuntimeError):
@@ -78,21 +84,28 @@ def braid_act_word(word: Sequence[str], triple: Sequence[Mat3]):
 
 
 def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
-    """Induced action on (w, x, y, p, q) for order-2 reflection triples."""
-    if not fp.all_t_minus_one():
-        raise UnsupportedFingerprintActionError(
-            "quintuple-level braid action needs all t_i = -1; "
-            "act on the triple itself instead")
-    t = fp.t1
+    """Induced action on the fingerprint, for reflections of any order.
+
+    A zero t_i has no inverse and raises ZeroDivisionError.
+    """
+    t1, t2, t3 = fp.t1, fp.t2, fp.t3
     w, x, y, p, q = fp.quintuple()
     if letter == "b1":
-        return Fingerprint(t, t, t, w, y, x + p + q + w * y, -q - w * y, -p - w * y)
+        wy = w * y
+        u = (q + wy) / t2
+        return Fingerprint(t2, t1, t3, w, y, x + p - u, u, t2 * p - wy)
     if letter == "b2":
-        return Fingerprint(t, t, t, x, w + p + q + x * y, y, -q - x * y, -p - x * y)
+        xy = x * y
+        u = (q + xy) / t3
+        return Fingerprint(t1, t3, t2, x, w + p - u, y, u, t3 * p - xy)
     if letter == "b1i":
-        return Fingerprint(t, t, t, w, y + p + q + w * x, x, -q - w * x, -p - w * x)
+        wx = w * x
+        u = (q + wx) / t1
+        return Fingerprint(t2, t1, t3, w, y + p - u, x, u, t1 * p - wx)
     if letter == "b2i":
-        return Fingerprint(t, t, t, x + p + q + w * y, w, y, -q - w * y, -p - w * y)
+        wy = w * y
+        u = (q + wy) / t2
+        return Fingerprint(t1, t3, t2, x + p - u, w, y, u, t2 * p - wy)
     raise ValueError(f"unknown braid letter {letter!r}")
 
 
@@ -154,61 +167,31 @@ def cover_genus(branches: int, cycle_types: Sequence[Sequence[int]]) -> int:
     return g
 
 
-class _TripleState:
-    """Orbit node carrying a representative triple for general t_i."""
-
-    __slots__ = ("triple", "fp")
-
-    def __init__(self, triple):
-        self.triple = tuple(triple)
-        self.fp = fingerprint(triple)
-
-
-def _act(state, letter: str, quintuple_level: bool):
-    if quintuple_level:
-        return braid_act_quintuple(letter, state)
-    return _TripleState(braid_act(letter, state.triple))
-
-
-def _state_fp(state, quintuple_level: bool) -> Fingerprint:
-    return state if quintuple_level else state.fp
-
-
 def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
           max_size: int = 1_000_000) -> OrbitReport:
     """Closure of a fingerprint class under the chosen braid generators.
 
-    generators = "full" uses beta1, beta2 (the full braid group on three
-    strings); "pure" uses their squares (the pure braid group).  The report
-    always records the permutations sigma1, sigma2 induced by the squares
-    on the orbit, their composition (apply beta1^2 then beta2^2), all three
-    cycle types and the cover genus they determine.
+    A triple seed is replaced by its fingerprint; the walk itself only
+    applies `braid_act_quintuple`.  generators = "full" uses beta1, beta2
+    (the full braid group on three strings); "pure" uses their squares (the
+    pure braid group).  The report always records the permutations sigma1,
+    sigma2 induced by the squares on the orbit, their composition (apply
+    beta1^2 then beta2^2), all three cycle types and the cover genus they
+    determine.
     """
     if generators not in ("full", "pure"):
         raise ValueError("generators must be 'full' or 'pure'")
-    if isinstance(seed, Fingerprint):
-        quintuple_level = seed.all_t_minus_one()
-        if not quintuple_level:
-            raise UnsupportedFingerprintActionError(
-                "fingerprint seeds need all t_i = -1; pass the triple instead")
-        start = seed
-    else:
-        start = _TripleState(seed)
-        quintuple_level = False
-        if start.fp.all_t_minus_one():
-            start = start.fp
-            quintuple_level = True
-
+    start = seed if isinstance(seed, Fingerprint) else fingerprint(seed)
     letter_words = {
         "full": (("b1",), ("b2",)),
         "pure": (("b1", "b1"), ("b2", "b2")),
     }[generators]
 
     index: Dict[tuple, int] = {}
-    states = []
+    states: List[Fingerprint] = []
 
-    def visit(state) -> int:
-        key = _state_fp(state, quintuple_level).key()
+    def visit(fp: Fingerprint) -> int:
+        key = fp.key()
         idx = index.get(key)
         if idx is None:
             if len(states) >= max_size:
@@ -216,7 +199,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
                     f"orbit exceeded bound {max_size}; diverging input?")
             idx = len(states)
             index[key] = idx
-            states.append(state)
+            states.append(fp)
         return idx
 
     visit(start)
@@ -225,21 +208,20 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
         nxt = []
         for i in frontier:
             for word in letter_words:
-                state = states[i]
+                fp = states[i]
                 for letter in word:
-                    state = _act(state, letter, quintuple_level)
+                    fp = braid_act_quintuple(letter, fp)
                 before = len(states)
-                j = visit(state)
+                j = visit(fp)
                 if j >= before:
                     nxt.append(j)
         frontier = nxt
 
     def square_perm(letter: str) -> Tuple[int, ...]:
         out = []
-        for st in states:
-            img = _act(_act(st, letter, quintuple_level), letter, quintuple_level)
-            key = _state_fp(img, quintuple_level).key()
-            target = index.get(key)
+        for fp in states:
+            img = braid_act_quintuple(letter, braid_act_quintuple(letter, fp))
+            target = index.get(img.key())
             if target is None:
                 raise OrbitBoundError(
                     "orbit is not closed under the pure braid generators")
@@ -254,10 +236,9 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
         genus = cover_genus(len(states), types)
     except GenusError:
         genus = None
-    fps = [_state_fp(s, quintuple_level) for s in states]
     return OrbitReport(
-        seeds=[fps[0]],
-        orbit=fps,
+        seeds=[states[0]],
+        orbit=states,
         sigma1=sigma1,
         sigma2=sigma2,
         sigma_prod=sigma_prod,
@@ -275,8 +256,7 @@ def orbit_partition(classes: Sequence[TripleClass]) -> List[int]:
     for i, cls in enumerate(classes):
         if seen[i]:
             continue
-        rep = orbit(cls.fingerprint if cls.fingerprint.all_t_minus_one()
-                    else cls.representative, generators="full")
+        rep = orbit(cls.fingerprint, generators="full")
         count = 0
         for fp in rep.orbit:
             j = index.get(fp.key())

@@ -30,8 +30,8 @@ from .groups import GroupSpec, build_group
 from .fingerprints import classify_triples
 from .braid import orbit, orbit_partition
 from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
-                     table1, theta_map, f_squared, f_hitchin_squared,
-                     CubicForm, normalize_cubic)
+                     random_lambda_mu, table1, theta_map, f_squared,
+                     f_hitchin_squared, CubicForm, normalize_cubic)
 from .schlesinger import (DegenerateSampleError, PathError, sample_residues,
                           diagonalize_gauge, integrate_schlesinger,
                           reduced_flow_compare, eta_pvi_residual)
@@ -129,8 +129,7 @@ def cmd_orbits(args) -> int:
         key = cls.fingerprint.key()
         if key in seen:
             continue
-        rep = orbit(cls.fingerprint if cls.fingerprint.all_t_minus_one()
-                    else cls.representative, generators="pure")
+        rep = orbit(cls.fingerprint, generators="pure")
         for fp in rep.orbit:
             seen.add(fp.key())
         orbit_details.append({
@@ -162,25 +161,11 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _random_lm(rng: random.Random) -> LambdaMu:
-    lams = []
-    for _ in range(3):
-        den = rng.choice([2, 3, 4, 5, 6, 7])
-        num = rng.randrange(1, 3 * den)
-        if num % den == 0:
-            num += 1
-        lams.append(Fraction(num, den))
-    m1 = Fraction(rng.randrange(-8, 8), rng.randrange(1, 9))
-    m2 = Fraction(rng.randrange(-8, 8), rng.randrange(1, 9))
-    m3 = sum(lams) - m1 - m2
-    return LambdaMu(tuple(lams), (m1, m2, m3))
-
-
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     if args.check == "lemma-params":
         for trial in range(args.count):
-            lm = _random_lm(rng)
+            lm = random_lambda_mu(rng)
             x = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
             y = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
             lhs = f_squared((x, y), lm)
@@ -206,7 +191,7 @@ def cmd_verify(args) -> int:
             _emit({"check": "cubic", "ok": False, "side": "float",
                    "max_error": float_err}, args)
             return 1
-        lm = _random_lm(rng)
+        lm = random_lambda_mu(rng)
         cub = CubicForm.from_lambda_mu(lm)
         (_, _, _, _), (x0, y0) = normalize_cubic(cub)
         if cub.shifted(x0, y0).shifted(-x0, -y0) != cub:

@@ -397,12 +397,9 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        q = self.is_rational()
-        if q is not None:
-            inv = 1 / q
-            out = [Fraction(0)] * len(self.nums)
-            out[0] = inv
-            return CycloNum.from_fractions(self.n, out)
+        if not any(self.nums[1:]):
+            # rational den/num; the constructor normalises the sign
+            return CycloNum(self.n, (self.den,) + (0,) * (len(self.nums) - 1), self.nums[0])
         # extended Euclid in Q[x] modulo Phi_n
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
         a = list(self.coeffs)

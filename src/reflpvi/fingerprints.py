@@ -57,6 +57,19 @@ class Fingerprint:
                 .format(self.t1, self.t2, self.t3, self.w, self.x, self.y, self.p, self.q))
 
 
+def _from_traces(ts, pair_traces, triple_traces) -> Fingerprint:
+    """The fingerprint from t_i, tr(r1 r2), tr(r1 r3), tr(r2 r3), tr(r1 r2 r3), tr(r3 r2 r1)."""
+    t1, t2, t3 = ts
+    one = CycloNum.one(t1.n)
+    tr12, tr13, tr23 = pair_traces
+    w = tr12 - one - t1 - t2
+    x = tr13 - one - t1 - t3
+    y = tr23 - one - t2 - t3
+    linear = t1 + t2 + t3 + w + x + y
+    tr123, tr321 = triple_traces
+    return Fingerprint(t1, t2, t3, w, x, y, tr123 - linear, tr321 - linear)
+
+
 def fingerprint(triple: Sequence[Mat3]) -> Fingerprint:
     """Trace invariants of a triple of pseudo-reflections."""
     r1, r2, r3 = triple
@@ -66,33 +79,20 @@ def fingerprint(triple: Sequence[Mat3]) -> Fingerprint:
         if t is None:
             raise NotAReflectionError("triple component is not a pseudo-reflection")
         ts.append(t)
-    t1, t2, t3 = ts
-    one = CycloNum.one(1)
-    w = r1.trace_of_product(r2) - one - t1 - t2
-    x = r1.trace_of_product(r3) - one - t1 - t3
-    y = r2.trace_of_product(r3) - one - t2 - t3
-    tsum = t1 + t2 + t3
-    m12 = r1 * r2
-    p = m12.trace_of_product(r3) - tsum - w - x - y
-    m32 = r3 * r2
-    q = m32.trace_of_product(r1) - tsum - w - x - y
-    return Fingerprint(t1, t2, t3, w, x, y, p, q)
+    return _from_traces(ts,
+                        (r1.trace_of_product(r2), r1.trace_of_product(r3),
+                         r2.trace_of_product(r3)),
+                        ((r1 * r2).trace_of_product(r3), (r3 * r2).trace_of_product(r1)))
 
 
 def fingerprint_by_indices(group: ReflectionGroup, idx: Tuple[int, int, int]) -> Fingerprint:
     """Same invariants computed through the group's Cayley graph, by element index."""
     i, j, k = idx
-    t1 = group.det_index(i)
-    t2 = group.det_index(j)
-    t3 = group.det_index(k)
-    one = CycloNum.one(1)
-    w = group.trace_index(group.product_index(i, j)) - one - t1 - t2
-    x = group.trace_index(group.product_index(i, k)) - one - t1 - t3
-    y = group.trace_index(group.product_index(j, k)) - one - t2 - t3
-    tsum = t1 + t2 + t3
-    p = group.trace_index(group.product_index(group.product_index(i, j), k)) - tsum - w - x - y
-    q = group.trace_index(group.product_index(group.product_index(k, j), i)) - tsum - w - x - y
-    return Fingerprint(t1, t2, t3, w, x, y, p, q)
+    prod, trace = group.product_index, group.trace_index
+    ij = prod(i, j)
+    return _from_traces((group.det_index(i), group.det_index(j), group.det_index(k)),
+                        (trace(ij), trace(prod(i, k)), trace(prod(j, k))),
+                        (trace(prod(ij, k)), trace(prod(prod(k, j), i))))
 
 
 @dataclass

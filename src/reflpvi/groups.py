@@ -285,10 +285,11 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
     K -> mu3 (K surjects onto C3); `twist` picks the character value on the
     order-3 generator.  `chirality` selects between the two 3-dimensional
     icosahedral representations (told apart by the trace of an order-5
-    element).  The four twist-0 combinations fail the projective-extension
-    filter below; the other eight of the twelve (labeling, chirality,
-    twist) combinations all close to order 2160, and the caller keeps the
-    first in its search order.
+    element).  With twist 0 the conjugation is untwisted, and all four
+    twist-0 combinations fail the projective-extension filter below, so
+    the caller only asks for twists 1 and 2; those eight (labeling,
+    chirality, twist) combinations all close to order 2160, and the caller
+    keeps the first in its search order.
     """
     h3 = enumerate_elements(_icosahedral_standard_triple(), bound=1300)
     if len(h3) != 120:
@@ -637,7 +638,7 @@ def _generating_sets(spec: GroupSpec) -> Iterator[List[Mat3]]:
     else:
         for exotic in (True, False):
             for chirality in (0, 1):
-                for twist in (0, 1, 2):
+                for twist in (1, 2):
                     try:
                         gens = _valentiner_generating_set(exotic, chirality, twist)
                     except GroupValidationError:
@@ -652,8 +653,10 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     closure has exactly the expected order: the one standard triple of an
     imprimitive group or H3, the one Hesse-pencil set, the first of six
     Klein normalizations, or the first of the eight Valentiner (labeling,
-    chirality, twist) combinations that close.  That closure is the only
-    one made; every later step works on its Cayley graph.
+    chirality, twist) combinations that close.  Twist 0 is not searched:
+    its four combinations never extend projectively, and each one cost a
+    full intertwiner solve before the filter refused it.  That closure is
+    the only one made; every later step works on its Cayley graph.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()

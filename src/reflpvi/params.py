@@ -19,6 +19,7 @@ after a constant shift of (x, y).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -62,6 +63,22 @@ class LambdaMu:
     def to_dict(self) -> dict:
         return {"lambda": [str(v) for v in self.lambdas],
                 "mu": [str(v) for v in self.mus]}
+
+
+def random_lambda_mu(rng: random.Random) -> LambdaMu:
+    """Random exact-sum (lambda, mu): non-integral lambdas with denominators
+    2..7 and numerators below three, two small random mu's, and the third
+    mu fixed by sum(mu) = sum(lambda)."""
+    lams = []
+    for _ in range(3):
+        den = rng.choice([2, 3, 4, 5, 6, 7])
+        num = rng.randrange(1, 3 * den)
+        if num % den == 0:
+            num += 1
+        lams.append(Fraction(num, den))
+    m1 = Fraction(rng.randrange(-8, 8), rng.randrange(1, 9))
+    m2 = Fraction(rng.randrange(-8, 8), rng.randrange(1, 9))
+    return LambdaMu(tuple(lams), (m1, m2, sum(lams) - m1 - m2))
 
 
 @dataclass(frozen=True)

@@ -21,3 +21,13 @@ def g333():
 @pytest.fixture(scope="session")
 def icosa():
     return build_group(GroupSpec.exceptional("icosahedral"))
+
+
+@pytest.fixture(scope="session")
+def g413():
+    return build_group(GroupSpec.imprimitive(4, 1))
+
+
+@pytest.fixture(scope="session")
+def g648():
+    return build_group(GroupSpec.exceptional("G648"))

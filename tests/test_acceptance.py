@@ -15,8 +15,9 @@ from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import classify_triples, fingerprint, fingerprint_by_indices
 from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import (LambdaMu, canonical_theta, f_hitchin_squared,
-                            f_squared, lambda_mu_of_triple, pvi_abcd, table1,
-                            theta_map, CubicForm, normalize_cubic)
+                            f_squared, lambda_mu_of_triple, pvi_abcd,
+                            random_lambda_mu, table1, theta_map, CubicForm,
+                            normalize_cubic)
 from reflpvi.schlesinger import (diagonalize_gauge, eta_pvi_residual,
                                  integrate_schlesinger, reduced_flow_compare,
                                  sample_residues)
@@ -108,25 +109,12 @@ def test_criterion_3_parameter_table(catalogue, klein):
     report(3, ok, "all seven parameter-table rows reproduced exactly (families at m = 3..6)")
 
 
-def _random_exact_lm(rng):
-    lams = []
-    for _ in range(3):
-        den = rng.choice([2, 3, 4, 5, 6, 7])
-        num = rng.randrange(1, 3 * den)
-        if num % den == 0:
-            num += 1
-        lams.append(F(num, den))
-    m1 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
-    m2 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
-    return LambdaMu(tuple(lams), (m1, m2, sum(lams) - m1 - m2))
-
-
 def test_criterion_4_lemma_params():
     start = time.time()
     rng = random.Random(2024)
     ok = True
     for _ in range(100):
-        lm = _random_exact_lm(rng)
+        lm = random_lambda_mu(rng)
         x = F(rng.randrange(-9, 9), rng.randrange(1, 8))
         y = F(rng.randrange(-9, 9), rng.randrange(1, 8))
         lhs = f_squared((x, y), lm)
@@ -147,18 +135,19 @@ def test_criterion_5_cubic_algebra():
     ok = ok and float_err < 1e-10
     # normal form round-trips exactly
     for _ in range(20):
-        lm = _random_exact_lm(rng)
+        lm = random_lambda_mu(rng)
         cub = CubicForm.from_lambda_mu(lm)
         _, (x0, y0) = normalize_cubic(cub)
         ok = ok and cub.shifted(x0, y0).shifted(-x0, -y0) == cub
     report(5, ok, f"cubic constants validated on 100 exact + 100 float samples (max fp error {float_err:.1e})")
 
 
-def test_criterion_6_braid_consistency(klein):
+def test_criterion_6_braid_consistency(catalogue, klein):
     g213 = build_group(GroupSpec.imprimitive(2, 1))
     ok = True
-    # fingerprint o beta = beta-hat o fingerprint on every reflection triple
-    for group in (klein, g213):
+    # fingerprint o beta = beta-hat o fingerprint on every reflection triple;
+    # G(3,1,3) mixes order-2 and order-3 reflections
+    for group in (klein, g213, catalogue[0]["G(3,1,3)"]):
         refl = group.reflection_indices()
         inv = {j: group.inverse_index(j) for j in refl}
         for i in refl:
@@ -187,8 +176,9 @@ def test_criterion_6_braid_consistency(klein):
         for letter in ("b1", "b2"):
             im = braid_act(letter, triple)
             ok = ok and im[0] * im[1] * im[2] == prod
-    report(6, ok, "quintuple/triple braid actions commute on all order-2 triples; "
-                  "braid relation and product invariance on 1000 random triples")
+    report(6, ok, "fingerprint/triple braid actions commute on all reflection triples "
+                  "of G336, G(2,1,3) and G(3,1,3); braid relation and product "
+                  "invariance on 1000 random triples")
 
 
 def test_criterion_7_numerics():

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from reflpvi.braid import (GenusError, OrbitBoundError, braid_act,
+from reflpvi.braid import (LETTERS, GenusError, OrbitBoundError, braid_act,
                            braid_act_quintuple, braid_act_word, cover_genus,
-                           cycle_type, orbit, orbit_partition, reduce_word,
-                           UnsupportedFingerprintActionError)
+                           cycle_type, orbit, orbit_partition, reduce_word)
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
 from reflpvi.linalg3 import Mat3
@@ -82,20 +81,33 @@ def test_quintuple_rrr_fixed_point():
     assert braid_act_quintuple("b1", fp) == fp
 
 
-def test_quintuple_requires_order_two():
+def test_quintuple_any_order_and_zero_t():
+    # t = 1 with a zero quintuple is a fixed point of every letter ...
     one = CycloNum.one(1)
     z = CycloNum.zero(1)
     fp = Fingerprint(one, one, one, z, z, z, z, z)
-    with pytest.raises(UnsupportedFingerprintActionError):
-        braid_act_quintuple("b1", fp)
+    for letter in LETTERS:
+        assert braid_act_quintuple(letter, fp) == fp
+    # ... while a zero t_i has no inverse and fails loudly
+    degenerate = Fingerprint(z, z, z, z, z, z, z, z)
+    for letter in LETTERS:
+        with pytest.raises(ZeroDivisionError):
+            braid_act_quintuple(letter, degenerate)
 
 
-def test_quintuple_matches_triple_action(g336):
+@pytest.mark.parametrize("group_fixture", [
+    pytest.param("g336", id="G336"),
+    pytest.param("g648", id="G648"),
+    pytest.param("g413", id="G(4,1,3)"),  # orders 2 and 4 mixed
+    pytest.param("icosa", id="icosahedral"),
+])
+def test_quintuple_matches_triple_action(group_fixture, request):
+    group = request.getfixturevalue(group_fixture)
     rng = random.Random(8)
     for _ in range(15):
-        triple = [rng.choice(g336.reflections) for _ in range(3)]
+        triple = [rng.choice(group.reflections) for _ in range(3)]
         fp = fingerprint(triple)
-        for letter in ("b1", "b2", "b1i", "b2i"):
+        for letter in LETTERS:
             assert fingerprint(braid_act(letter, triple)) == \
                 braid_act_quintuple(letter, fp)
 
@@ -122,6 +134,40 @@ def test_commuting_orbit_is_fixed():
 def test_orbit_seed_by_triple(g336):
     rep = orbit(list(g336.generators), "pure")
     assert rep.branches == 7
+
+
+def _triple_level_orbit(triple, generators):
+    """Reference orbit walked on exact triples: fingerprint keys in BFS order."""
+    words = {"full": (("b1",), ("b2",)), "pure": (("b1", "b1"), ("b2", "b2"))}[generators]
+    keys = [fingerprint(triple).key()]
+    reps = [tuple(triple)]
+    i = 0
+    while i < len(reps):
+        for word in words:
+            image = braid_act_word(word, reps[i])
+            key = fingerprint(image).key()
+            if key not in keys:
+                keys.append(key)
+                reps.append(image)
+        i += 1
+    return keys
+
+
+def test_orbit_order_three_seed(g648):
+    triple = list(g648.generators)
+    assert all(r.det() != CycloNum.from_rational(-1) for r in triple)
+    for generators in ("full", "pure"):
+        by_triple = orbit(triple, generators)
+        by_fingerprint = orbit(fingerprint(triple), generators)
+        assert by_triple == by_fingerprint
+        assert [fp.key() for fp in by_triple.orbit] == \
+            _triple_level_orbit(triple, generators)
+
+
+def test_orbit_partition_g648(g648):
+    classes = classify_triples(g648)
+    assert len(classes) == 120
+    assert orbit_partition(classes) == [1] * 8 + [3] * 8 + [4] * 4 + [6] * 6 + [9] * 4
 
 
 def test_orbit_partition(g336):

@@ -9,26 +9,9 @@ from reflpvi.params import (CubicForm, LambdaMu, SumConstraintError, Theta,
                             canonical_theta, cubic_coeffs, expected_theta_row,
                             f_hitchin_squared, f_squared, lambda_mu_of_triple,
                             mu_from_degrees, normalize_cubic, pvi_abcd,
-                            table1, theta_map)
+                            random_lambda_mu, table1, theta_map)
 
 F = Fraction
-
-
-def random_lm(rng, exact=True):
-    lams = []
-    for _ in range(3):
-        den = rng.choice([2, 3, 4, 5, 6, 7])
-        num = rng.randrange(1, 3 * den)
-        if num % den == 0:
-            num += 1
-        lams.append(F(num, den))
-    m1 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
-    m2 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
-    if exact:
-        m3 = sum(lams) - m1 - m2
-    else:
-        m3 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
-    return LambdaMu(tuple(lams), (m1, m2, m3))
 
 
 def test_mu_from_degrees():
@@ -87,7 +70,9 @@ def test_canonical_theta_rows():
 def test_canonical_theta_mu_permutation_invariant():
     rng = random.Random(11)
     for _ in range(10):
-        lm = random_lm(rng, exact=False)
+        exact = random_lambda_mu(rng)
+        m3 = F(rng.randrange(-8, 8), rng.randrange(1, 9))
+        lm = LambdaMu(exact.lambdas, exact.mus[:2] + (m3,))
         base = canonical_theta(lm)
         for perm in permutations(lm.mus):
             assert canonical_theta(LambdaMu(lm.lambdas, perm)) == base
@@ -133,7 +118,7 @@ def test_cubic_coeffs_examples():
 def test_lemma_params_identity():
     rng = random.Random(13)
     for _ in range(100):
-        lm = random_lm(rng)
+        lm = random_lambda_mu(rng)
         x = F(rng.randrange(-9, 9), rng.randrange(1, 8))
         y = F(rng.randrange(-9, 9), rng.randrange(1, 8))
         lhs = f_squared((x, y), lm)
@@ -146,7 +131,7 @@ def test_lemma_params_identity():
 
 def test_f_squared_at_origin():
     rng = random.Random(17)
-    lm = random_lm(rng)
+    lm = random_lambda_mu(rng)
     a, b, k, c = cubic_coeffs(lm)
     assert f_squared((F(0), F(0)), lm) == k * k
 
@@ -158,7 +143,7 @@ def test_hitchin_zero_row_example():
 
 def test_cubic_form_evaluation_matches():
     rng = random.Random(19)
-    lm = random_lm(rng)
+    lm = random_lambda_mu(rng)
     cub = CubicForm.from_lambda_mu(lm)
     th = theta_map(lm, (2, 0, 1))
     hit = CubicForm.from_theta(th)
@@ -191,7 +176,7 @@ def test_lambda_mu_and_hitchin_normal_forms_agree():
     # the two cubics agree after the shift, so their normal forms coincide
     rng = random.Random(23)
     for _ in range(10):
-        lm = random_lm(rng)
+        lm = random_lambda_mu(rng)
         cub = CubicForm.from_lambda_mu(lm)
         consts, _ = normalize_cubic(cub)
         th = theta_map(lm, (0, 1, 2))
