@@ -177,7 +177,8 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     pure braid group).  The report always records the permutations sigma1,
     sigma2 induced by the squares on the orbit, their composition (apply
     beta1^2 then beta2^2), all three cycle types and the cover genus they
-    determine.
+    determine.  The squares are read off the walk's own transitions, so a
+    state costs four `braid_act_quintuple` calls ("pure") or two ("full").
     """
     if generators not in ("full", "pure"):
         raise ValueError("generators must be 'full' or 'pure'")
@@ -189,6 +190,8 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
 
     index: Dict[tuple, int] = {}
     states: List[Fingerprint] = []
+    # moves[w][i]: index of the image of state i under letter_words[w]
+    moves: Tuple[List[int], ...] = tuple([] for _ in letter_words)
 
     def visit(fp: Fingerprint) -> int:
         key = fp.key()
@@ -203,33 +206,18 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
         return idx
 
     visit(start)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for word in letter_words:
-                fp = states[i]
-                for letter in word:
-                    fp = braid_act_quintuple(letter, fp)
-                before = len(states)
-                j = visit(fp)
-                if j >= before:
-                    nxt.append(j)
-        frontier = nxt
+    i = 0
+    while i < len(states):          # states doubles as the BFS queue
+        for w, word in enumerate(letter_words):
+            fp = states[i]
+            for letter in word:
+                fp = braid_act_quintuple(letter, fp)
+            moves[w].append(visit(fp))
+        i += 1
 
-    def square_perm(letter: str) -> Tuple[int, ...]:
-        out = []
-        for fp in states:
-            img = braid_act_quintuple(letter, braid_act_quintuple(letter, fp))
-            target = index.get(img.key())
-            if target is None:
-                raise OrbitBoundError(
-                    "orbit is not closed under the pure braid generators")
-            out.append(target)
-        return tuple(out)
-
-    sigma1 = square_perm("b1")
-    sigma2 = square_perm("b2")
+    # the pure walk's transitions are the squares; a full walk's, applied twice
+    sigma1, sigma2 = (tuple(m) if generators == "pure" else tuple(m[j] for j in m)
+                      for m in moves)
     sigma_prod = tuple(sigma2[sigma1[i]] for i in range(len(states)))
     types = (cycle_type(sigma1), cycle_type(sigma2), cycle_type(sigma_prod))
     try:

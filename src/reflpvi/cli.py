@@ -321,10 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verification suites")
     v.add_argument("check", choices=("lemma-params", "cubic", "schlesinger", "eta-pvi"))
-    v.add_argument("--count", type=int, default=100)
+    # None marks "not given", so that a flag the check ignores is refused
+    v.add_argument("--count", type=int,
+                   help="trials (lemma-params, cubic; default 100)")
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--tol", type=float, default=1e-10)
-    v.add_argument("--dump", help="write the trajectory samples to this CSV path")
+    v.add_argument("--tol", type=float,
+                   help="integration tolerance (schlesinger; default 1e-10)")
+    v.add_argument("--dump", help="write the trajectory samples to this CSV path "
+                                  "(schlesinger)")
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("reproduce", help="whole-pipeline reproductions")
@@ -333,13 +337,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_verify_flags(parser, args) -> None:
+    """Refuse a flag the chosen check would ignore, then fill in defaults."""
+    used = {"--count": ("lemma-params", "cubic"),
+            "--tol": ("schlesinger",), "--dump": ("schlesinger",)}
+    for flag, checks in used.items():
+        if getattr(args, flag[2:]) is not None and args.check not in checks:
+            parser.error(f"verify {args.check} does not take {flag}")
+    if args.count is None:
+        args.count = 100
+    if args.tol is None:
+        args.tol = 1e-10
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "groups" and args.action == "info" and not args.spec:
-        parser.error("groups info requires --spec")
-    if getattr(args, "command", None) == "params" and args.action == "theta" and not args.spec:
-        parser.error("params theta requires --spec")
+    if args.command in ("groups", "params"):
+        needs_spec = args.action in ("info", "theta")
+        if needs_spec and not args.spec:
+            parser.error(f"{args.command} {args.action} requires --spec")
+        if not needs_spec and args.spec is not None:
+            parser.error(f"{args.command} {args.action} does not take --spec")
+    if args.command == "verify":
+        _check_verify_flags(parser, args)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -3,8 +3,9 @@
 A Mat3 keeps all nine entries at one conductor over one common positive
 denominator, as integer coefficient tuples on the power basis.  Products
 then run in pure integer arithmetic (convolution + one reduction per
-entry + one gcd pass per matrix), which is what makes breadth-first group
-closure affordable in Python.
+entry + one gcd pass per matrix), and equal matrices at one conductor have
+equal keys.  `row_times` applies a matrix to an exact row vector in the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -288,6 +289,32 @@ class Mat3:
                 return m
             power = power * self
         raise ValueError(f"element order exceeds bound {bound}")
+
+
+def row_times(row: Tuple[int, Tuple[Tuple[int, ...], ...]], m: Mat3
+              ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The row vector row * m, with row = (den, (e0, e1, e2)) given as
+    integer power-basis coefficient tuples over one positive denominator at
+    m's conductor.  The result has the same form, with the gcd of the
+    denominator and all coefficients divided out, so it is a canonical key.
+    """
+    den, entries = row
+    n, nums = m.n, m.nums
+    width = 2 * len(nums[0]) - 1
+    out = []
+    for j in range(3):
+        conv = [0] * width
+        for k in range(3):
+            y = nums[3 * k + j]
+            for p, xp in enumerate(entries[k]):
+                if xp:
+                    for q, yq in enumerate(y):
+                        if yq:
+                            conv[p + q] += xp * yq
+        out.append(reduce_power_coeffs(n, conv))
+    den *= m.den
+    g = gcd(den, *(c for e in out for c in e))
+    return den // g, tuple(tuple(c // g for c in e) for e in out)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))

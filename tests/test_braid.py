@@ -170,6 +170,34 @@ def test_orbit_partition_g648(g648):
     assert orbit_partition(classes) == [1] * 8 + [3] * 8 + [4] * 4 + [6] * 6 + [9] * 4
 
 
+def test_orbit_squares_from_walk(g648, monkeypatch):
+    """sigma1, sigma2 equal the squares applied afresh to every state, and a
+    pure orbit costs four quintuple maps per state, a full one two."""
+    import reflpvi.braid as braid_mod
+    calls = []
+
+    def counting(letter, fp):
+        calls.append(letter)
+        return braid_act_quintuple(letter, fp)
+
+    classes = classify_triples(g648)
+    monkeypatch.setattr(braid_mod, "braid_act_quintuple", counting)
+    for generators, per_state in (("pure", 4), ("full", 2)):
+        seen = set()
+        for cls in classes:
+            if cls.fingerprint.key() in seen:
+                continue
+            del calls[:]
+            rep = orbit(cls.fingerprint, generators)
+            assert len(calls) == per_state * rep.branches
+            seen.update(fp.key() for fp in rep.orbit)
+            index = {fp.key(): i for i, fp in enumerate(rep.orbit)}
+            for letter, sigma in (("b1", rep.sigma1), ("b2", rep.sigma2)):
+                squares = [braid_act_quintuple(letter, braid_act_quintuple(letter, fp))
+                           for fp in rep.orbit]
+                assert sigma == tuple(index[fp.key()] for fp in squares)
+
+
 def test_orbit_partition(g336):
     classes = classify_triples(g336, first_fixed=g336.generators[0])
     assert orbit_partition(classes) == [1, 1, 3, 3, 4, 4, 6, 7, 7, 9]

@@ -50,6 +50,26 @@ def test_jobs_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("check, flags", [
+    ("lemma-params", ["--tol", "1e-8"]), ("cubic", ["--dump", "x.csv"]),
+    ("eta-pvi", ["--tol", "1e-8"]), ("eta-pvi", ["--dump", "x.csv"]),
+    ("schlesinger", ["--count", "5"]), ("eta-pvi", ["--count", "5"]),
+])
+def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check] + flags)
+    assert exc.value.code == 2
+    assert f"verify {check} does not take {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["groups", "list"], ["params", "table"]])
+def test_ignored_spec_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", "G336"])
+    assert exc.value.code == 2
+    assert f"{' '.join(argv)} does not take --spec" in capsys.readouterr().err
+
+
 def test_params_theta(capsys):
     code, out = run_cli(capsys, "params", "theta", "--spec", "G(3,1,3)")
     assert code == 0

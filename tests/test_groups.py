@@ -1,12 +1,16 @@
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from reflpvi.cyclotomic import CycloNum, log_root_of_unity, root_of_unity
-from reflpvi.groups import (ClosureBoundError, GroupSpec, build_group,
+from reflpvi.cyclotomic import (CycloNum, cyclotomic_polynomial, log_root_of_unity,
+                                root_of_unity)
+from reflpvi.groups import (ClosureBoundError, GroupSpec, _close, _generating_sets,
+                            _is_prime, _shadow, _shadow_prime, build_group,
                             enumerate_elements, reflections_of)
 from reflpvi.linalg3 import Mat3, is_pseudo_reflection
 
@@ -126,3 +130,127 @@ def test_index_core_matches_exact_arithmetic(g213, g333, icosa, g336):
         assert group.conjugacy_class(group.index_of(r)) == brute
         with pytest.raises(dataclasses.FrozenInstanceError):
             group.generators = group.generators
+
+
+# -- the mod-p shadow closure against an exact one ---------------------------
+
+def _exact_close(generators, bound):
+    """Reference closure: every element times every generator, exactly,
+    keyed on the exact matrix; same return shape as _close.
+
+    A matrix over Q(zeta_n) is kept as den and an integer 3d x 3d matrix
+    (d = phi(n)) whose (i, j) block is multiplication by the (i, j) entry
+    on the power basis, so products are integer matrix products: in int64
+    while every entry stays below 2^24, in Python ints for large generators.
+    """
+    n = 1
+    for g in generators:
+        n = n * g.n // math.gcd(n, g.n)
+    small = all(g.den < 2 ** 10 and all(abs(c) < 2 ** 10 for e in g.nums for c in e)
+                for g in generators)
+    dtype = np.int64 if small else object
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    zeta = np.zeros((d, d), dtype=dtype)         # multiplication by zeta_n
+    zeta[1:, :-1] = np.eye(d - 1, dtype=dtype)
+    zeta[:, -1] = [-c for c in phi[:-1]]
+    powers = [np.linalg.matrix_power(zeta, k) for k in range(d)]
+
+    def normal(den, big):
+        assert not small or np.abs(big).max() < 2 ** 24
+        g = math.gcd(den, int(np.gcd.reduce(big, axis=None)))
+        return den // g, big // g
+
+    def regular(m):
+        m = m.lift(n)
+        return m.den, np.block([[sum(c * powers[k] for k, c in enumerate(m.nums[3 * i + j]))
+                                 for j in range(3)] for i in range(3)])
+
+    def key(den, big):
+        # Mat3.key(): entry (i, j) has column 0 of block (i, j) as coefficients
+        nums = big[:, ::d].reshape(3, d, 3).transpose(0, 2, 1).reshape(9, d).tolist()
+        return n, den, tuple(map(tuple, nums))
+
+    gens = [regular(g) for g in generators]
+    gen_dets = [g.lift(n).det() for g in generators]
+    ident = (1, np.eye(3 * d, dtype=dtype))
+    index = {key(*ident): 0}
+    elements, words, dets = [ident], [()], [CycloNum.one(n)]
+    right = [[] for _ in gens]
+    i = 0
+    while i < len(elements):
+        for g, (den, big) in enumerate(gens):
+            prod = normal(elements[i][0] * den, elements[i][1] @ big)
+            k = key(*prod)
+            j = index.get(k)
+            if j is None:
+                if len(elements) >= bound:
+                    raise ClosureBoundError(f"closure exceeded safety bound {bound}")
+                j = index[k] = len(elements)
+                elements.append(prod)
+                words.append(words[i] + (g,))
+                dets.append(dets[i] * gen_dets[g])
+            right[g].append(j)
+        i += 1
+    return list(index), right, words, dets
+
+
+def _same_closure(generators, bound):
+    got = _close(generators, bound)
+    want = _exact_close(generators, bound)
+    assert [g.key() for g in got[0]] == want[0]
+    assert got[1:3] == want[1:3]
+    assert [d.key() for d in got[3]] == [d.key() for d in want[3]]
+
+
+_CLOSURE_SPECS = ["G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)",
+                  "G(6,6,3)", "G(3,1,3)", "G(4,1,3)", "G(5,1,3)", "G(6,1,3)",
+                  "icosahedral", "G336", "G648", "G1296", "G2160"]
+
+
+@pytest.mark.parametrize("label", _CLOSURE_SPECS)
+def test_shadow_closure_matches_exact(label):
+    spec = GroupSpec.parse(label)
+    for gens in _generating_sets(spec):
+        _same_closure(gens, spec.expected_order())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 15, 18, 30, 42])
+def test_shadow_prime_and_root(n):
+    p, r = _shadow_prime(n, [])
+    assert _is_prime(p) and p % n == 1 % n and p > 2 ** 20
+    assert not any(_is_prime(q) for q in range(p - n, 2 ** 20, -n))
+    assert [k for k in range(1, n + 1) if pow(r, k, p) == 1] == [n]
+
+
+def test_denominator_prime_is_skipped():
+    # G(3,1,3) conjugated by diag(p0, 1, 1), so that p0 is a denominator
+    p0 = _shadow_prime(3, [])[0]
+    one = CycloNum.one(1)
+    s = Mat3.diag(CycloNum.from_rational(p0), one, one)
+    s_inv = Mat3.diag(CycloNum.from_rational(Fraction(1, p0)), one, one)
+    gens = [s_inv * g * s for g in next(_generating_sets(GroupSpec.imprimitive(3, 1)))]
+    assert {g.den for g in gens} == {1, p0}
+    p1 = _shadow_prime(3, [g.den for g in gens])[0]
+    assert p1 > p0 and not any(_is_prime(q) for q in range(p0 + 3, p1, 3))
+    _same_closure(gens, 162)
+
+
+def test_infinite_order_shadow_identity_is_refused():
+    p = _shadow_prime(1, [])[0]
+    m = Mat3.from_rationals([[1 + p, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _shadow(m, p, 1) == _shadow(Mat3.identity(1), p, 1)
+    with pytest.raises(ClosureBoundError):
+        _close([m], 50)
+    with pytest.raises(ClosureBoundError):
+        enumerate_elements([m], bound=50)
+
+
+def test_singular_generator_is_refused():
+    # {E, F} is a finite monoid with E = F mod p, which the shadow would merge
+    p = _shadow_prime(1, [])[0]
+    e = Mat3.from_rationals([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    f = Mat3.from_rationals([[1, p, 0], [0, 0, 0], [0, 0, 0]])
+    assert _shadow(e, p, 1) == _shadow(f, p, 1)
+    with pytest.raises(ValueError, match="invertible"):
+        enumerate_elements([e, f])
