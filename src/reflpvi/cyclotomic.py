@@ -395,11 +395,28 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """The multiplicative inverse.
+
+        A rational is inverted directly.  A root of unity u of order m has
+        inverse u^(m-1), the power just before 1: for u = s zeta_n^k
+        (s = +-1) that is s zeta_n^(n-k), read off `_roots_of_unity`.
+        Anything else takes extended Euclid modulo Phi_n.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if not any(self.nums[1:]):
             # rational den/num; the constructor normalises the sign
             return CycloNum(self.n, (self.den,) + (0,) * (len(self.nums) - 1), self.nums[0])
+        if self.den == 1:
+            powers, where = _roots_of_unity(self.n)
+            found = where.get(self.nums)
+            if found is not None:
+                sign, k = found
+                return CycloNum(self.n, tuple(sign * v for v in powers[-k % self.n]), 1,
+                                _normalized=True)
+        return self._euclid_inverse()
+
+    def _euclid_inverse(self) -> "CycloNum":
         # extended Euclid in Q[x] modulo Phi_n
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
         a = list(self.coeffs)
@@ -500,6 +517,22 @@ def _poly_sub(a, b):
     return out
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(n: int):
+    """The roots of unity of Q(zeta_n), by power-basis coefficients.
+
+    They are the lcm(2, n)-th roots of unity, +-zeta_n^k.  Returns the
+    coefficient tuples of zeta_n^k for k < n and a dict from the
+    coefficients of s zeta_n^k (integers, denominator 1) to (s, k).
+    """
+    powers = tuple(tuple(reduce_power_coeffs(n, [0] * k + [1])) for k in range(n))
+    where = {}
+    for k, nums in enumerate(powers):
+        where.setdefault(nums, (1, k))
+        where.setdefault(tuple(-v for v in nums), (-1, k))
+    return powers, where
+
+
 def root_of_unity(n: int, k: int = 1) -> CycloNum:
     """zeta_n^k in canonical form."""
     if n < 1:
@@ -511,23 +544,8 @@ def root_of_unity(n: int, k: int = 1) -> CycloNum:
 
 def log_root_of_unity(c: CycloNum) -> Fraction:
     """Return k/n in [0,1) with c = zeta_n^k, or raise NotRootOfUnityError."""
-    # roots of unity inside Q(zeta_n) all have order dividing lcm(2, n)
-    bound = c.n if c.n % 2 == 0 else 2 * c.n
-    one = CycloNum.one(1)
-    power = c
-    order = None
-    for m in range(1, bound + 1):
-        if power == one:
-            order = m
-            break
-        power = power * c
-    if order is None:
+    found = _roots_of_unity(c.n)[1].get(c.nums) if c.den == 1 else None
+    if found is None:
         raise NotRootOfUnityError("element is not a root of unity")
-    if order == 1:
-        return Fraction(0)
-    for k in range(1, order):
-        if gcd(k, order) != 1:
-            continue
-        if c == root_of_unity(order, k):
-            return Fraction(k, order)
-    raise NotRootOfUnityError("element is not a root of unity")
+    sign, k = found
+    return (Fraction(k, c.n) + (Fraction(1, 2) if sign < 0 else 0)) % 1

@@ -4,6 +4,13 @@ The fingerprint (t1, t2, t3, w, x, y, p, q) is computed from traces of
 products: w, x, y from the three pair products, p and q from the two
 triple products.  It is invariant under simultaneous conjugation and
 satisfies pq = wxy.
+
+It is an invertible affine image of eight values: det(r1), det(r2),
+det(r3), tr(r1 r2), tr(r1 r3), tr(r2 r3), tr(r1 r2 r3) and tr(r3 r2 r1)
+(`_from_traces`).  Inside one group all of them live at the one conductor
+the closure lifts to, where a CycloNum has a unique representation, so
+`classify_triples` keys triples on integer ids of those eight values and
+does no cyclotomic arithmetic per triple.
 """
 
 from __future__ import annotations
@@ -31,12 +38,16 @@ class Fingerprint:
     p: CycloNum
     q: CycloNum
 
+    def _values(self) -> Tuple[CycloNum, ...]:
+        return (self.t1, self.t2, self.t3, self.w, self.x, self.y, self.p, self.q)
+
     def key(self):
-        return tuple(v.key() for v in
-                     (self.t1, self.t2, self.t3, self.w, self.x, self.y, self.p, self.q))
+        return tuple(v.key() for v in self._values())
 
     def __eq__(self, other):
-        return isinstance(other, Fingerprint) and self.key() == other.key()
+        # entrywise CycloNum equality needs no descent at a shared conductor
+        return isinstance(other, Fingerprint) and all(
+            a == b for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self.key())
@@ -110,6 +121,19 @@ class TripleClass:
         }
 
 
+def _interned(values: Sequence[CycloNum], n: int) -> List[int]:
+    """A small integer id per value, equal ids exactly for equal values.
+
+    All values are at conductor n, where the representation is unique.
+    """
+    ids: Dict[tuple, int] = {}
+    out = []
+    for v in values:
+        assert v.n == n, "group traces and dets share the closure conductor"
+        out.append(ids.setdefault((v.nums, v.den), len(ids)))
+    return out
+
+
 def classify_triples(group: ReflectionGroup,
                      first_fixed: Optional[Mat3] = None) -> List[TripleClass]:
     """Group reflection triples by exact fingerprint equality.
@@ -117,7 +141,17 @@ def classify_triples(group: ReflectionGroup,
     With `first_fixed` given, triples (first_fixed, a, b) range over all
     reflection pairs (a, b); otherwise all reflection triples are scanned.
     Classes come back sorted by fingerprint key, with multiplicities and
-    the order of the subgroup each representative generates.
+    the order of the subgroup each representative generates; the
+    representative of a class is its first triple in scan order.
+
+    Each triple (i, j, k) is keyed by the ids of its eight values det(i),
+    det(j), det(k), tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji).  The
+    fingerprint is an invertible affine image of those eight values, and
+    every trace and det of the group sits at one conductor, where equal
+    values have equal coefficients; so two triples share a key exactly
+    when they share a fingerprint.  Products are read off one
+    right-multiplication column per reflection (`_Cayley.column`), and the
+    Fingerprint and generated order are computed once per class.
     """
     refl_idx = group.reflection_indices()
     if first_fixed is not None:
@@ -128,17 +162,31 @@ def classify_triples(group: ReflectionGroup,
     else:
         firsts = refl_idx
 
-    buckets: Dict[tuple, TripleClass] = {}
+    cayley = group.cayley
+    n = cayley.elements[0].n
+    tr = _interned(cayley.traces, n)
+    det = _interned(cayley.dets, n)
+    col = {r: cayley.column(r) for r in refl_idx}     # col[r][x] = index of x r
+    found: Dict[tuple, list] = {}                      # key -> [i, j, k, count]
     for i in firsts:
+        ci = col[i]
         for j in refl_idx:
+            cj = col[j]
+            ij = cj[i]
+            head = (det[i], det[j], tr[ij])
             for k in refl_idx:
-                fp = fingerprint_by_indices(group, (i, j, k))
-                key = fp.key()
-                entry = buckets.get(key)
+                ck = col[k]
+                key = head + (det[k], tr[ck[i]], tr[ck[j]], tr[ck[ij]], tr[ci[cj[k]]])
+                entry = found.get(key)
                 if entry is None:
-                    rep = (group.elements[i], group.elements[j], group.elements[k])
-                    order = group.generated_order_by_indices((i, j, k))
-                    buckets[key] = TripleClass(fp, rep, 1, order)
+                    found[key] = [i, j, k, 1]
                 else:
-                    entry.multiplicity += 1
-    return [buckets[k] for k in sorted(buckets)]
+                    entry[3] += 1
+
+    classes = []
+    for i, j, k, count in found.values():
+        rep = (group.elements[i], group.elements[j], group.elements[k])
+        classes.append(TripleClass(fingerprint_by_indices(group, (i, j, k)), rep, count,
+                                   group.generated_order_by_indices((i, j, k))))
+    classes.sort(key=lambda c: c.fingerprint.key())
+    return classes

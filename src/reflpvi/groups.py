@@ -598,6 +598,17 @@ class _Cayley:
             prev, x = x, self.product(x, i)
         return prev
 
+    def column(self, i: int) -> List[int]:
+        """Right multiplication by element i: column(i)[x] = product(x, i).
+
+        The generator columns composed along words[i], |G| lookups a letter.
+        """
+        col = range(len(self.elements))
+        for g in self.words[i]:
+            right = self.right[g]
+            col = [right[x] for x in col]
+        return list(col)
+
     def conjugacy_class(self, i: int) -> frozenset:
         # x -> g^-1 x g for the closure generators g, which generate the group
         conj = [(col, self.inverse(col[self.identity])) for col in self.right]
@@ -606,8 +617,29 @@ class _Cayley:
         return frozenset(_reachable(i, moves))
 
     def generated_order(self, idx: Sequence[int]) -> int:
-        moves = [lambda x, g=g: self.product(x, g) for g in idx]
-        return len(_reachable(self.identity, moves))
+        """Order of the subgroup generated by the elements idx.
+
+        The breadth-first walk steps x -> x idx[m] along the generator
+        columns of words[idx[m]], touching only the subgroup: a full
+        `column` per generator costs |G| lookups a letter, more than the
+        walk when the subgroup is small.
+        """
+        right = self.right
+        words = [self.words[i] for i in idx]
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for word in words:
+                    y = x
+                    for g in word:
+                        y = right[g][y]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return len(seen)
 
 
 @dataclass(frozen=True)

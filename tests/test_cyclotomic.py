@@ -95,6 +95,41 @@ def test_inverse_and_canonical_idempotence(a):
     assert c == a
 
 
+def test_root_of_unity_inverse_matches_euclid(monkeypatch):
+    import reflpvi.cyclotomic as cyclotomic
+
+    def euclid(u):
+        return (lambda v: (v.n, v.den, v.nums))(u._euclid_inverse())
+
+    roots = [s * root_of_unity(n, k) for n in range(1, 25) for k in range(n) for s in (1, -1)]
+    expected = [euclid(u) for u in roots]
+    others = [root_of_unity(n) + 2 for n in range(3, 25)]
+    others += [root_of_unity(n) * Fraction(1, 3) for n in range(3, 25)]
+    unchanged = [euclid(u) for u in others]
+
+    def refused(*args):
+        raise AssertionError("a root of unity took the Euclid path")
+    monkeypatch.setattr(cyclotomic, "_poly_divmod_frac", refused)
+    for u, want in zip(roots, expected):
+        inv = u.inverse()
+        assert (inv.n, inv.den, inv.nums) == want
+        assert u * inv == CycloNum.one(1)
+    monkeypatch.undo()
+    for u, want in zip(others, unchanged):
+        inv = u.inverse()
+        assert (inv.n, inv.den, inv.nums) == want
+        assert u * inv == CycloNum.one(1)
+
+
+def test_log_root_of_unity_signs():
+    # -zeta_n^k for odd n is a 2n-th root of unity found under conductor n
+    assert log_root_of_unity(-root_of_unity(3)) == Fraction(5, 6)
+    assert log_root_of_unity(-root_of_unity(4, 3)) == Fraction(1, 4)
+    assert log_root_of_unity(root_of_unity(6, 2).lift(12)) == Fraction(1, 3)
+    with pytest.raises(NotRootOfUnityError):
+        log_root_of_unity(root_of_unity(5) * Fraction(1, 2))
+
+
 def _canonical_triple(a):
     c = a.canonical()
     # the descended element must still be the same complex number

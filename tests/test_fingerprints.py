@@ -5,6 +5,7 @@ import pytest
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import (NotAReflectionError, classify_triples,
                                   fingerprint, fingerprint_by_indices)
+from reflpvi.groups import GroupSpec, build_group
 from reflpvi.linalg3 import Mat3
 
 
@@ -94,3 +95,53 @@ def test_unrestricted_classification_s3_style(g213):
 def test_first_fixed_must_be_reflection(g336):
     with pytest.raises(NotAReflectionError):
         classify_triples(g336, first_fixed=Mat3.identity())
+
+
+def _bucketed(group, firsts):
+    """Classes by bucketing every triple on its full Fingerprint key, with
+    generated orders from a breadth-first walk on `product_index`."""
+    refl = group.reflection_indices()
+    buckets = {}
+    for i in firsts:
+        for j in refl:
+            for k in refl:
+                key = fingerprint_by_indices(group, (i, j, k)).key()
+                if key in buckets:
+                    buckets[key][1] += 1
+                else:
+                    buckets[key] = [(i, j, k), 1]
+    out = []
+    for key in sorted(buckets):
+        idx, count = buckets[key]
+        seen = {group.identity_index()}
+        frontier = list(seen)
+        while frontier:
+            frontier = [y for y in {group.product_index(x, g) for x in frontier for g in idx}
+                        if y not in seen]
+            seen.update(frontier)
+        out.append((key, idx, count, len(seen)))
+    return out
+
+
+@pytest.mark.parametrize("spec, fixed_first", [
+    (GroupSpec.imprimitive(2, 1), False),
+    (GroupSpec.imprimitive(3, 1), False),
+    (GroupSpec.imprimitive(4, 1), False),
+    (GroupSpec.exceptional("icosahedral"), False),
+    (GroupSpec.exceptional("G336"), False),
+    (GroupSpec.exceptional("G336"), True),
+    (GroupSpec.exceptional("G648"), True),
+], ids=lambda v: v.label() if isinstance(v, GroupSpec) else ("fixed" if v else "all"))
+def test_classify_matches_fingerprint_buckets(spec, fixed_first):
+    group = build_group(spec)
+    first = group.generators[0] if fixed_first else None
+    firsts = [group.index_of(first)] if fixed_first else group.reflection_indices()
+    classes = classify_triples(group, first_fixed=first)
+    expected = _bucketed(group, firsts)
+    assert len(classes) == len(expected)
+    for cls, (key, idx, count, order) in zip(classes, expected):
+        assert cls.fingerprint.key() == key
+        assert cls.fingerprint == fingerprint_by_indices(group, idx)
+        assert cls.representative == tuple(group.elements[i] for i in idx)
+        assert cls.multiplicity == count
+        assert cls.generated_order == order
