@@ -338,12 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_verify_flags(parser, args) -> None:
-    """Refuse a flag the chosen check would ignore, then fill in defaults."""
+    """Refuse a flag the chosen check would ignore or a value out of range,
+    then fill in defaults."""
     used = {"--count": ("lemma-params", "cubic"),
             "--tol": ("schlesinger",), "--dump": ("schlesinger",)}
     for flag, checks in used.items():
         if getattr(args, flag[2:]) is not None and args.check not in checks:
             parser.error(f"verify {args.check} does not take {flag}")
+    if args.count is not None and args.count < 1:
+        parser.error(f"verify {args.check} needs --count >= 1")
+    if args.tol is not None and not args.tol > 0:
+        parser.error(f"verify {args.check} needs --tol > 0")
     if args.count is None:
         args.count = 100
     if args.tol is None:

@@ -400,7 +400,7 @@ class CycloNum:
         A rational is inverted directly.  A root of unity u of order m has
         inverse u^(m-1), the power just before 1: for u = s zeta_n^k
         (s = +-1) that is s zeta_n^(n-k), read off `_roots_of_unity`.
-        Anything else takes extended Euclid modulo Phi_n.
+        Anything else is divided into its Galois norm (`_norm_inverse`).
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
@@ -414,32 +414,21 @@ class CycloNum:
                 sign, k = found
                 return CycloNum(self.n, tuple(sign * v for v in powers[-k % self.n]), 1,
                                 _normalized=True)
-        return self._euclid_inverse()
+        return self._norm_inverse()
 
-    def _euclid_inverse(self) -> "CycloNum":
-        # extended Euclid in Q[x] modulo Phi_n
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        a = list(self.coeffs)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                inv_coeffs = [s / c for s in s1]
-                inv_coeffs = inv_coeffs + [Fraction(0)] * max(0, len(self.nums) - len(inv_coeffs))
-                # s1 may exceed the basis length before reduction
-                den = 1
-                for f in inv_coeffs:
-                    den = den * f.denominator // gcd(den, f.denominator)
-                ints = [int(f * den) for f in inv_coeffs]
-                red = reduce_power_coeffs(self.n, ints)
-                return CycloNum(self.n, red, den)
-            q, r = _poly_divmod_frac(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s_new
+    def _norm_inverse(self) -> "CycloNum":
+        # x * prod_{k in (Z/n)^x, k != 1} sigma_k(x) is the norm N(x), a
+        # rational, where sigma_k sends zeta_n to zeta_n^k
+        n = self.n
+        rest = CycloNum.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                spread = [0] * n
+                for i, c in enumerate(self.nums):
+                    spread[i * k % n] += c
+                rest = rest * CycloNum(n, reduce_power_coeffs(n, spread), self.den)
+        norm = self * rest
+        return CycloNum(n, [v * norm.den for v in rest.nums], rest.den * norm.nums[0])
 
     def __truediv__(self, other) -> "CycloNum":
         a, b = self._match(other)
@@ -478,43 +467,6 @@ class CycloNum:
         for c in reversed(self.nums):
             acc = acc * z + c
         return acc / self.den
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        c = c / lead
-        out[i - dd] = c
-        for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 @lru_cache(maxsize=None)

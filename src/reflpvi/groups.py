@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .cyclotomic import (CycloNum, _prime_divisors, euler_phi, log_root_of_unity,
-                         root_of_unity)
+from .cyclotomic import CycloNum, euler_phi, log_root_of_unity, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, nullspace, row_times
 
 
@@ -102,50 +101,8 @@ class GroupSpec:
         return tuple(sorted((3, m, 2 * m)))
 
 
-# Any odd prime p = 1 (mod n) prime to the denominators is faithful (see
-# _close); one above this floor keeps clear of the small denominators of the
-# constructions here while residue products stay below 2^41.
-_SHADOW_PRIME_FLOOR = 1 << 20
-
-
-def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
-
-
-def _shadow_prime(n: int, dens: Sequence[int]) -> Tuple[int, int]:
-    """The smallest prime p = 1 (mod n) above 2^20 dividing none of `dens`,
-    and the first r = a^((p-1)/n), for a = 2, 3, ..., of order exactly n
-    mod p; zeta_n -> r is then a ring map Z[zeta_n] -> F_p."""
-    p = -(-_SHADOW_PRIME_FLOOR // n) * n + 1
-    while not _is_prime(p) or any(d % p == 0 for d in dens):
-        p += n
-    a = 2
-    while True:
-        r = pow(a, (p - 1) // n, p)
-        if all(pow(r, n // q, p) != 1 for q in _prime_divisors(n)):
-            return p, r
-        a += 1
-
-
-def _shadow(m: Mat3, p: int, r: int) -> Tuple[int, ...]:
-    """The image of m in GL_3(F_p) under zeta_n -> r, as 9 ints mod p."""
-    powers = [pow(r, k, p) for k in range(len(m.nums[0]))]
-    inv_den = pow(m.den, -1, p)
-    return tuple(sum(c * w for c, w in zip(e, powers)) * inv_den % p for e in m.nums)
-
-
-def _shadow_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return ((a0 * b0 + a1 * b3 + a2 * b6) % p, (a0 * b1 + a1 * b4 + a2 * b7) % p,
-            (a0 * b2 + a1 * b5 + a2 * b8) % p, (a3 * b0 + a4 * b3 + a5 * b6) % p,
-            (a3 * b1 + a4 * b4 + a5 * b7) % p, (a3 * b2 + a4 * b5 + a5 * b8) % p,
-            (a6 * b0 + a7 * b3 + a8 * b6) % p, (a6 * b1 + a7 * b4 + a8 * b7) % p,
-            (a6 * b2 + a7 * b5 + a8 * b8) % p)
-
-
-def _certify_finite(n: int, gens: Sequence[Mat3], bound: int) -> None:
-    """Prove exactly that the generated group G is finite, or that |G| > bound.
+def _row_action(n: int, gens: Sequence[Mat3], bound: int):
+    """The generated group G as permutations of a finite set of row vectors.
 
     The generators are at conductor n.  Walks the exact orbit of the row
     vector e1 under v -> v g, then those of e2 and e3 (skipping a seed
@@ -154,38 +111,49 @@ def _certify_finite(n: int, gens: Sequence[Mat3], bound: int) -> None:
     S spans, so the action is faithful and G is finite.  One orbit has at
     most |G| vectors, so an orbit of more than `bound` vectors raises
     ClosureBoundError.
+
+    Returns perms, with perms[g][s] the index in S of S[s] g, and the
+    indices in S of three independent vectors.
     """
     d = euler_phi(n)
     zero, one = (0,) * d, (1,) + (0,) * (d - 1)
-    seen: set = set()
-    basis: List[Tuple[Tuple[int, ...], ...]] = []
+    index: Dict[tuple, int] = {}
+    vectors: List[tuple] = []        # S in discovery order, doubling as the BFS queue
+    perms: List[List[int]] = [[] for _ in gens]
+    basis: List[int] = []
 
-    def note(entries) -> None:
-        # keep the vector if it is independent of the ones kept so far
-        rows = basis + [entries] + [(zero,) * 3] * (2 - len(basis))
+    def note(i: int) -> None:
+        # keep S[i] if it is independent of the vectors kept so far
+        rows = [vectors[b][1] for b in basis] + [vectors[i][1]]
+        rows += [(zero,) * 3] * (3 - len(rows))
         if Mat3(n, [e for row in rows for e in row]).rank() > len(basis):
-            basis.append(entries)
+            basis.append(i)
 
+    s = 0                            # the next vector of S to move
     for k in range(3):
         if len(basis) == 3:
-            return
+            break
         seed = (1, tuple(one if j == k else zero for j in range(3)))
-        if seed in seen:
+        if seed in index:
             continue
-        seen.add(seed)
-        note(seed[1])
-        orbit = [seed]
-        for v in orbit:             # orbit doubles as the BFS queue
-            for g in gens:
-                w = row_times(v, g)
-                if w not in seen:
-                    if len(orbit) >= bound:
+        start = index[seed] = len(vectors)
+        vectors.append(seed)
+        note(start)
+        while s < len(vectors):
+            for g, perm in zip(gens, perms):
+                w = row_times(vectors[s], g)
+                t = index.get(w)
+                if t is None:
+                    if len(vectors) - start >= bound:
                         raise ClosureBoundError(
                             f"an orbit exceeded safety bound {bound}")
-                    seen.add(w)
-                    orbit.append(w)
+                    t = index[w] = len(vectors)
+                    vectors.append(w)
                     if len(basis) < 3:
-                        note(w[1])
+                        note(t)
+                perm.append(t)
+            s += 1
+    return perms, tuple(basis)
 
 
 def _close(generators: Sequence[Mat3], bound: int):
@@ -196,18 +164,14 @@ def _close(generators: Sequence[Mat3], bound: int):
     generator letters that first reached each element, and each element's
     determinant, multiplied along that first edge.
 
-    The search runs on shadows: the images of the elements in GL_3(F_p)
-    for the prime p and the root r of `_shadow_prime`, with the generators'
-    conductor as n, and keyed on those 9-tuples.  Each new element's exact
-    matrix is one product along its first edge, elements[i] * generators[g].
-    Reduction is faithful on a finite group: p = 1 (mod n) is prime to n,
-    so it is unramified in Z[zeta_n] and odd, and the kernel of reduction
-    modulo a prime above it holds no element of finite order except 1
-    (Minkowski); p divides no generator denominator, so every element
-    reduces.  The shadow search therefore makes the same discoveries in the
-    same order as an exact one.  Finiteness is not assumed but proved first
-    by `_certify_finite`, which raises ClosureBoundError when |G| > bound,
-    as the search does when it meets more than `bound` elements.
+    The search runs on the faithful permutation action of `_row_action`:
+    an element x is keyed on the indices of b x for the three independent
+    vectors b it returns, which determine x because they span, and
+    right-multiplying by a generator maps each index through that
+    generator's permutation.  Each new element's exact matrix is one
+    product along its first edge, elements[i] * generators[g].  The search
+    raises ClosureBoundError when it meets more than `bound` elements, as
+    `_row_action` does on an orbit longer than `bound`.
     """
     n = 1
     for g in generators:
@@ -215,21 +179,19 @@ def _close(generators: Sequence[Mat3], bound: int):
     gens = [g.lift(n) for g in generators]
     gen_dets = [g.det() for g in gens]
     if any(d.is_zero() for d in gen_dets):
-        # a singular generator makes a monoid, which reduction may not keep
+        # a singular generator makes a monoid, which does not permute S
         raise ValueError("closure generators must be invertible")
-    _certify_finite(n, gens, bound)
-    p, r = _shadow_prime(n, [g.den for g in gens])
-    shadows = [_shadow(g, p, r) for g in gens]
+    perms, basis = _row_action(n, gens, bound)
     ident = Mat3.identity(n)
-    keys = [_shadow(ident, p, r)]
-    index = {keys[0]: 0}
+    keys = [basis]
+    index = {basis: 0}
     elements, words, dets = [ident], [()], [CycloNum.one(n)]
     right: List[List[int]] = [[] for _ in gens]
     i = 0
     while i < len(keys):            # keys doubles as the BFS queue
-        x = keys[i]
-        for g, h in enumerate(shadows):
-            k = _shadow_mul(x, h, p)
+        a, b, c = keys[i]
+        for g, perm in enumerate(perms):
+            k = (perm[a], perm[b], perm[c])
             j = index.get(k)
             if j is None:
                 if len(keys) >= bound:
@@ -248,11 +210,10 @@ def _close(generators: Sequence[Mat3], bound: int):
 def enumerate_elements(generators: Sequence[Mat3], bound: Optional[int] = None) -> List[Mat3]:
     """Breadth-first closure of a generating set; contains the identity.
 
-    The closure is `_close`: the group is first proved finite (or larger
-    than `bound`, raising ClosureBoundError) by a finite spanning orbit of
-    exact row vectors, then enumerated on its faithful image mod the
-    smallest prime p = 1 (mod conductor) above 2^20 that divides no
-    generator denominator, with one exact product per element.
+    The closure is `_close`: the group is enumerated on its faithful
+    permutation action on a finite spanning set of exact row vectors
+    (raising ClosureBoundError past `bound`), with one exact product per
+    element.
     """
     if bound is None:
         bound = 1_000_000
@@ -661,9 +622,13 @@ class ReflectionGroup:
     # -- index-level operations, answered from the Cayley graph -------------
 
     def index_of(self, g: Mat3) -> int:
+        n = self.elements[0].n
         try:
-            k = g.lift(self.elements[0].n).key()
-            return self.cayley.index[k]
+            if g.n != n:
+                # a member's entries descend to divisors of n, at any conductor
+                g = Mat3.from_entries([[e.canonical().lift(n) for e in row]
+                                       for row in g.entries()])
+            return self.cayley.index[g.key()]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
 
@@ -804,15 +769,10 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     full intertwiner solve before the filter refused it.  That closure is
     the only one made; every later step works on its Cayley graph.
 
-    The closure (`_close`) first proves the group finite: the exact orbit
-    of the row vector e1 (then e2, e3 if needed) is finite and spans, so
-    the group acts faithfully on a finite set; an orbit longer than the
-    expected order rejects the candidate.  It then enumerates the group's
-    image in GL_3(F_p), for the smallest prime p = 1 (mod conductor) above
-    2^20 that divides no generator denominator, with zeta_n sent to an
-    element of order exactly n mod p.  Such a p is odd and unramified, so
-    reduction is injective on a finite group (Minkowski), and the mod-p
-    search discovers the same elements in the same order as an exact one;
+    The closure (`_close`) walks the exact orbit of the row vector e1
+    (then e2, e3 if needed) until it spans, so the group acts faithfully on
+    a finite set; an orbit longer than the expected order rejects the
+    candidate.  Elements are enumerated on that permutation action, and
     each element's exact matrix costs one product along its first edge.
     """
     expected = spec.expected_order()

@@ -62,6 +62,18 @@ def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
     assert f"verify {check} does not take {flags[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check, flags", [
+    ("lemma-params", ["--count", "-5"]), ("cubic", ["--count", "0"]),
+    ("schlesinger", ["--tol", "-1"]), ("schlesinger", ["--tol", "0"]),
+    ("schlesinger", ["--tol", "nan"]),
+])
+def test_out_of_range_verify_flag_is_a_usage_error(check, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check] + flags)
+    assert exc.value.code == 2
+    assert f"verify {check} needs {flags[0]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["groups", "list"], ["params", "table"]])
 def test_ignored_spec_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

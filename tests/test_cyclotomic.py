@@ -85,40 +85,38 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
 
 
-@given(cyclos())
+@given(cyclos(), cyclos([15, 21, 30]))
 @settings(max_examples=40, deadline=None)
-def test_inverse_and_canonical_idempotence(a):
-    if not a.is_zero():
-        assert a * a.inverse() == CycloNum.one(1)
+def test_inverse_and_canonical_idempotence(a, wide):
+    # wide is at a conductor with phi(n) >= 8
+    for x in (a, wide):
+        if not x.is_zero():
+            assert x * x.inverse() == CycloNum.one(1)
     c = a.canonical()
     assert c.canonical().key() == c.key()
     assert c == a
 
 
 def test_root_of_unity_inverse_matches_euclid(monkeypatch):
-    import reflpvi.cyclotomic as cyclotomic
-
-    def euclid(u):
-        return (lambda v: (v.n, v.den, v.nums))(u._euclid_inverse())
+    # the root-of-unity table against the general (Galois norm) path
+    def general(u):
+        return (lambda v: (v.n, v.den, v.nums))(u._norm_inverse())
 
     roots = [s * root_of_unity(n, k) for n in range(1, 25) for k in range(n) for s in (1, -1)]
-    expected = [euclid(u) for u in roots]
+    expected = [general(u) for u in roots]
     others = [root_of_unity(n) + 2 for n in range(3, 25)]
     others += [root_of_unity(n) * Fraction(1, 3) for n in range(3, 25)]
-    unchanged = [euclid(u) for u in others]
 
     def refused(*args):
-        raise AssertionError("a root of unity took the Euclid path")
-    monkeypatch.setattr(cyclotomic, "_poly_divmod_frac", refused)
+        raise AssertionError("a root of unity took the general path")
+    monkeypatch.setattr(CycloNum, "_norm_inverse", refused)
     for u, want in zip(roots, expected):
         inv = u.inverse()
         assert (inv.n, inv.den, inv.nums) == want
         assert u * inv == CycloNum.one(1)
     monkeypatch.undo()
-    for u, want in zip(others, unchanged):
-        inv = u.inverse()
-        assert (inv.n, inv.den, inv.nums) == want
-        assert u * inv == CycloNum.one(1)
+    for u in others:
+        assert u * u.inverse() == CycloNum.one(1)
 
 
 def test_log_root_of_unity_signs():

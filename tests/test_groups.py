@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from reflpvi.cyclotomic import (CycloNum, cyclotomic_polynomial, log_root_of_unity,
                                 root_of_unity)
+from reflpvi.fingerprints import classify_triples
 from reflpvi.groups import (ClosureBoundError, GroupSpec, _close, _generating_sets,
-                            _is_prime, _shadow, _shadow_prime, build_group,
-                            enumerate_elements, reflections_of)
+                            build_group, enumerate_elements, reflections_of)
 from reflpvi.linalg3 import Mat3, is_pseudo_reflection
 
 
@@ -132,7 +132,20 @@ def test_index_core_matches_exact_arithmetic(g213, g333, icosa, g336):
             group.generators = group.generators
 
 
-# -- the mod-p shadow closure against an exact one ---------------------------
+def test_index_of_at_a_multiple_of_the_conductor(g336):
+    r = g336.generators[0]
+    i = g336.index_of(r)
+    assert g336.index_of(r.lift(14)) == i
+    assert g336.index_of(r * Mat3.identity(4)) == i
+    wide = classify_triples(g336, first_fixed=r * Mat3.identity(4))
+    assert wide == classify_triples(g336, first_fixed=r)
+    for outside in (r.scale(root_of_unity(3)).lift(21),     # no lift to conductor 7
+                    r.scale(CycloNum.from_rational(2)).lift(14)):
+        with pytest.raises(ValueError, match="does not belong"):
+            g336.index_of(outside)
+
+
+# -- the row-action closure against an exact one -----------------------------
 
 def _exact_close(generators, bound):
     """Reference closure: every element times every generator, exactly,
@@ -209,37 +222,47 @@ _CLOSURE_SPECS = ["G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)",
 
 
 @pytest.mark.parametrize("label", _CLOSURE_SPECS)
-def test_shadow_closure_matches_exact(label):
+def test_closure_matches_exact(label):
     spec = GroupSpec.parse(label)
     for gens in _generating_sets(spec):
         _same_closure(gens, spec.expected_order())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 15, 18, 30, 42])
-def test_shadow_prime_and_root(n):
-    p, r = _shadow_prime(n, [])
-    assert _is_prime(p) and p % n == 1 % n and p > 2 ** 20
-    assert not any(_is_prime(q) for q in range(p - n, 2 ** 20, -n))
-    assert [k for k in range(1, n + 1) if pow(r, k, p) == 1] == [n]
+def _reducible_sets():
+    one, z3, z4 = CycloNum.one(1), root_of_unity(3), root_of_unity(4)
+    minus = CycloNum.from_rational(-1)
+    swap12, swap23 = Mat3.permutation([1, 0, 2]), Mat3.permutation([0, 2, 1])
+    # e1 spans a line of its own: {e1, -e1}, then e2 and e3 form one orbit
+    yield [Mat3.diag(minus, one, one), Mat3.diag(one, z3, one), swap23], 36
+    # e1's orbit spans the (e1, e2) plane, so e2 is seen and skipped and
+    # the third vector comes from e3's orbit
+    yield [swap12, Mat3.diag(z4, one, one), Mat3.diag(one, one, minus)], 64
+    # the generators fix e1, whose orbit is the seed alone
+    yield [swap23, Mat3.diag(one, z3, one)], 18
+
+
+@pytest.mark.parametrize("gens, order", list(_reducible_sets()))
+def test_closure_of_reducible_sets_matches_exact(gens, order):
+    _same_closure(gens, order)
+    assert len(_close(gens, order)[0]) == order
+    with pytest.raises(ClosureBoundError):
+        _close(gens, order - 1)
 
 
 def test_denominator_prime_is_skipped():
-    # G(3,1,3) conjugated by diag(p0, 1, 1), so that p0 is a denominator
-    p0 = _shadow_prime(3, [])[0]
+    # G(3,1,3) conjugated by diag(p0, 1, 1), so that a large prime p0 is a
+    # generator denominator
+    p0 = 1048609
     one = CycloNum.one(1)
     s = Mat3.diag(CycloNum.from_rational(p0), one, one)
     s_inv = Mat3.diag(CycloNum.from_rational(Fraction(1, p0)), one, one)
     gens = [s_inv * g * s for g in next(_generating_sets(GroupSpec.imprimitive(3, 1)))]
     assert {g.den for g in gens} == {1, p0}
-    p1 = _shadow_prime(3, [g.den for g in gens])[0]
-    assert p1 > p0 and not any(_is_prime(q) for q in range(p0 + 3, p1, 3))
     _same_closure(gens, 162)
 
 
 def test_infinite_order_shadow_identity_is_refused():
-    p = _shadow_prime(1, [])[0]
-    m = Mat3.from_rationals([[1 + p, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert _shadow(m, p, 1) == _shadow(Mat3.identity(1), p, 1)
+    m = Mat3.from_rationals([[1 + 1048609, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ClosureBoundError):
         _close([m], 50)
     with pytest.raises(ClosureBoundError):
@@ -247,10 +270,8 @@ def test_infinite_order_shadow_identity_is_refused():
 
 
 def test_singular_generator_is_refused():
-    # {E, F} is a finite monoid with E = F mod p, which the shadow would merge
-    p = _shadow_prime(1, [])[0]
+    # {E, F} is a finite monoid, not a group
     e = Mat3.from_rationals([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    f = Mat3.from_rationals([[1, p, 0], [0, 0, 0], [0, 0, 0]])
-    assert _shadow(e, p, 1) == _shadow(f, p, 1)
+    f = Mat3.from_rationals([[1, 1048609, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError, match="invertible"):
         enumerate_elements([e, f])
