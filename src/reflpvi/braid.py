@@ -34,6 +34,7 @@ fingerprints alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg3 import Mat3
@@ -179,10 +180,15 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     beta1^2 then beta2^2), all three cycle types and the cover genus they
     determine.  The squares are read off the walk's own transitions, so a
     state costs four `braid_act_quintuple` calls ("pure") or two ("full").
+    The seed is lifted once to the common conductor of its entries, which
+    the braid maps keep and where coefficients are unique, so states are
+    keyed on raw (nums, den).
     """
     if generators not in ("full", "pure"):
         raise ValueError("generators must be 'full' or 'pure'")
     start = seed if isinstance(seed, Fingerprint) else fingerprint(seed)
+    n = lcm(*(v.n for v in start._values()))
+    start = Fingerprint(*(v.lift(n) for v in start._values()))
     letter_words = {
         "full": (("b1",), ("b2",)),
         "pure": (("b1", "b1"), ("b2", "b2")),
@@ -194,7 +200,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     moves: Tuple[List[int], ...] = tuple([] for _ in letter_words)
 
     def visit(fp: Fingerprint) -> int:
-        key = fp.key()
+        key = tuple((v.nums, v.den) for v in fp._values())
         idx = index.get(key)
         if idx is None:
             if len(states) >= max_size:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .groups import GroupSpec, build_group
+from .linalg3 import Mat3
 from .fingerprints import classify_triples
 from .braid import orbit, orbit_partition
 from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
@@ -257,7 +258,7 @@ def _verify_eta_pvi(config) -> dict:
 def cmd_reproduce(args) -> int:
     from .fingerprints import fingerprint
     group = build_group(GroupSpec.exceptional("G336"))
-    ident = group.elements[group.identity_index()]
+    ident = Mat3.identity()
     minus_one = Fraction(-1)
     checks = {}
     checks["order_336"] = group.order == 336
@@ -349,6 +350,8 @@ def _check_verify_flags(parser, args) -> None:
         parser.error(f"verify {args.check} needs --count >= 1")
     if args.tol is not None and not args.tol > 0:
         parser.error(f"verify {args.check} needs --tol > 0")
+    if args.seed < 0:
+        parser.error(f"verify {args.check} needs --seed >= 0")
     if args.count is None:
         args.count = 100
     if args.tol is None:

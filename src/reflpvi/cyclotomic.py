@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -187,10 +187,7 @@ def _left_inverse(rows, width: int):
             if i != col and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [v - f * w for v, w in zip(mat[i], mat[col])]
-    scale = 1
-    for row in mat[:m]:
-        for v in row[m:]:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+    scale = lcm(*(v.denominator for row in mat[:m] for v in row[m:]))
     solve = tuple(tuple((i, int(v * scale)) for i, v in enumerate(row[m:]) if v)
                   for row in mat[:m])
     return solve, scale
@@ -245,9 +242,7 @@ class CycloNum:
     @staticmethod
     def from_fractions(n: int, coeffs: Sequence[Fraction]) -> "CycloNum":
         coeffs = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in coeffs))
         nums = [int(c * den) for c in coeffs]
         return CycloNum(n, nums, den)
 
@@ -357,7 +352,7 @@ class CycloNum:
             other = CycloNum.from_rational(other)
         if self.n == other.n:
             return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other) -> "CycloNum":

@@ -163,7 +163,7 @@ def classify_triples(group: ReflectionGroup,
         firsts = refl_idx
 
     cayley = group.cayley
-    n = cayley.elements[0].n
+    n = cayley.n
     tr = _interned(cayley.traces, n)
     det = _interned(cayley.dets, n)
     col = {r: cayley.column(r) for r in refl_idx}     # col[r][x] = index of x r
@@ -183,9 +183,10 @@ def classify_triples(group: ReflectionGroup,
                 else:
                     entry[3] += 1
 
+    refl = dict(zip(refl_idx, group.reflections))
     classes = []
     for i, j, k, count in found.values():
-        rep = (group.elements[i], group.elements[j], group.elements[k])
+        rep = (refl[i], refl[j], refl[k])
         classes.append(TripleClass(fingerprint_by_indices(group, (i, j, k)), rep, count,
                                    group.generated_order_by_indices((i, j, k))))
     classes.sort(key=lambda c: c.fingerprint.key())

@@ -12,9 +12,10 @@ table and reflection count, so a transcription slip cannot survive.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycloNum, euler_phi, log_root_of_unity, root_of_unity
@@ -74,12 +75,9 @@ class GroupSpec:
             return GroupSpec.exceptional("icosahedral")
         if s in EXCEPTIONAL_DATA:
             return GroupSpec.exceptional(s)
-        if low.startswith("g(") and low.endswith(")"):
-            parts = low[2:-1].split(",")
-            if len(parts) == 3 and parts[2].strip() == "3":
-                m = int(parts[0])
-                p = int(parts[1])
-                return GroupSpec.imprimitive(m, p)
+        match = re.fullmatch(r"g\(([-+]?\d+),([-+]?\d+),3\)", "".join(low.split()))
+        if match:
+            return GroupSpec.imprimitive(int(match[1]), int(match[2]))
         raise ValueError(f"cannot parse group spec {text!r}")
 
     def label(self) -> str:
@@ -112,8 +110,8 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     most |G| vectors, so an orbit of more than `bound` vectors raises
     ClosureBoundError.
 
-    Returns perms, with perms[g][s] the index in S of S[s] g, and the
-    indices in S of three independent vectors.
+    Returns S, its index (vector -> position), perms with perms[g][s] the
+    index in S of S[s] g, and the indices in S of three independent vectors.
     """
     d = euler_phi(n)
     zero, one = (0,) * d, (1,) + (0,) * (d - 1)
@@ -124,9 +122,9 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
 
     def note(i: int) -> None:
         # keep S[i] if it is independent of the vectors kept so far
-        rows = [vectors[b][1] for b in basis] + [vectors[i][1]]
-        rows += [(zero,) * 3] * (3 - len(rows))
-        if Mat3(n, [e for row in rows for e in row]).rank() > len(basis):
+        rows = [vectors[b] for b in basis] + [vectors[i]]
+        rows += [(1, (zero,) * 3)] * (3 - len(rows))
+        if Mat3.from_rows(n, rows).rank() > len(basis):
             basis.append(i)
 
     s = 0                            # the next vector of S to move
@@ -153,39 +151,31 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
                         note(t)
                 perm.append(t)
             s += 1
-    return perms, tuple(basis)
+    return vectors, index, perms, tuple(basis)
 
 
-def _close(generators: Sequence[Mat3], bound: int):
+def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     """Breadth-first closure of a generating set, kept as its Cayley graph.
 
-    Returns, in discovery order with the identity first: the elements, the
-    columns right[g][i] = index of elements[i] * generators[g], the word of
-    generator letters that first reached each element, and each element's
-    determinant, multiplied along that first edge.
-
-    The search runs on the faithful permutation action of `_row_action`:
-    an element x is keyed on the indices of b x for the three independent
-    vectors b it returns, which determine x because they span, and
-    right-multiplying by a generator maps each index through that
-    generator's permutation.  Each new element's exact matrix is one
-    product along its first edge, elements[i] * generators[g].  The search
-    raises ClosureBoundError when it meets more than `bound` elements, as
-    `_row_action` does on an orbit longer than `bound`.
+    The search runs on the permutation action of `_row_action`.  With B
+    the matrix of its three independent rows b1, b2, b3, an element x is
+    keyed on the indices in S of the rows b1 x, b2 x, b3 x of B x, which
+    determine x = B^-1 (B x), and a generator maps each index through its
+    permutation: no matrix product.  A determinant is multiplied along
+    the element's first edge; a trace is read off the key (a, b, c) as
+    tr((B x) B^-1), the sum of entries 0, 1, 2 of S[a], S[b], S[c] times
+    B^-1.  More than `bound` elements raise ClosureBoundError.
     """
-    n = 1
-    for g in generators:
-        n = n * g.n // gcd(n, g.n)
+    n = lcm(*(g.n for g in generators))
     gens = [g.lift(n) for g in generators]
     gen_dets = [g.det() for g in gens]
     if any(d.is_zero() for d in gen_dets):
         # a singular generator makes a monoid, which does not permute S
         raise ValueError("closure generators must be invertible")
-    perms, basis = _row_action(n, gens, bound)
-    ident = Mat3.identity(n)
+    vectors, vector_index, perms, basis = _row_action(n, gens, bound)
     keys = [basis]
     index = {basis: 0}
-    elements, words, dets = [ident], [()], [CycloNum.one(n)]
+    words, dets = [()], [CycloNum.one(n)]
     right: List[List[int]] = [[] for _ in gens]
     i = 0
     while i < len(keys):            # keys doubles as the BFS queue
@@ -199,25 +189,33 @@ def _close(generators: Sequence[Mat3], bound: int):
                         f"closure exceeded safety bound {bound}")
                 j = index[k] = len(keys)
                 keys.append(k)
-                elements.append(elements[i] * gens[g])
                 words.append(words[i] + (g,))
                 dets.append(dets[i] * gen_dets[g])
             right[g].append(j)
         i += 1
-    return elements, right, words, dets
+    basis_inv = Mat3.from_rows(n, [vectors[s] for s in basis]).inverse()
+    diag = []                       # diag[s][j]: entry j of S[s] B^-1
+    for v in vectors:
+        den, entries = row_times(v, basis_inv)
+        diag.append([CycloNum(n, e, den) for e in entries])
+    return _Cayley(
+        n=n, vectors=tuple(vectors), vector_index=vector_index, basis=basis,
+        basis_inv=basis_inv, keys=tuple(keys), index=index,
+        right=tuple(tuple(col) for col in right), words=tuple(words),
+        traces=_shared(diag[a][0] + diag[b][1] + diag[c][2] for a, b, c in keys),
+        dets=_shared(dets))
 
 
 def enumerate_elements(generators: Sequence[Mat3], bound: Optional[int] = None) -> List[Mat3]:
-    """Breadth-first closure of a generating set; contains the identity.
+    """Breadth-first closure of a generating set, identity first.
 
-    The closure is `_close`: the group is enumerated on its faithful
-    permutation action on a finite spanning set of exact row vectors
-    (raising ClosureBoundError past `bound`), with one exact product per
-    element.
+    The closure is `_close` (raising ClosureBoundError past `bound`), and
+    each element's exact matrix is then one product, `_Cayley.element`.
     """
     if bound is None:
         bound = 1_000_000
-    return _close(generators, bound)[0]
+    cayley = _close(generators, bound)
+    return [cayley.element(i) for i in range(len(cayley))]
 
 
 # ---------------------------------------------------------------------------
@@ -516,35 +514,32 @@ def _shared(values: Iterable[CycloNum]) -> Tuple[CycloNum, ...]:
 class _Cayley:
     """A group's closure kept as its Cayley graph, by element index.
 
-    Elements are sorted by key().  right[g][i] is the index of
-    elements[i] times closure generator g, and elements[i] is the product
-    of the closure generators words[i], left to right, so every group
-    operation below is integer work with no matrix arithmetic.
+    Elements are numbered in breadth-first order from the identity, 0.
+    right[g][i] is the index of element i times closure generator g, and
+    element i is the product of the closure generators words[i], left to
+    right, so every group operation below is integer work with no matrix
+    arithmetic.  Element i is stored only as keys[i], the indices in the
+    spanning orbit `vectors` of the rows of B x (see `_close`), and
+    `element` rebuilds its exact matrix.
     """
-    elements: Tuple[Mat3, ...]
-    index: Dict[tuple, int]
+    n: int                                   # the closure conductor
+    vectors: Tuple[tuple, ...]               # the spanning orbit S
+    vector_index: Dict[tuple, int]
+    basis: Tuple[int, int, int]              # the rows b1, b2, b3 of B, in S
+    basis_inv: Mat3
+    keys: Tuple[Tuple[int, int, int], ...]
+    index: Dict[tuple, int]                  # keys[i] -> i
     right: Tuple[Tuple[int, ...], ...]
     words: Tuple[Tuple[int, ...], ...]
     traces: Tuple[CycloNum, ...]
     dets: Tuple[CycloNum, ...]
-    identity: int
 
-    @staticmethod
-    def close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
-        elements, right, words, dets = _close(generators, bound)
-        order = sorted(range(len(elements)), key=lambda i: elements[i].key())
-        new = [0] * len(order)
-        for pos, old in enumerate(order):
-            new[old] = pos
-        elements = tuple(elements[i] for i in order)
-        return _Cayley(
-            elements=elements,
-            index={g.key(): i for i, g in enumerate(elements)},
-            right=tuple(tuple(new[col[i]] for i in order) for col in right),
-            words=tuple(words[i] for i in order),
-            traces=_shared(g.trace() for g in elements),
-            dets=_shared(dets[i] for i in order),
-            identity=new[0])
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def element(self, i: int) -> Mat3:
+        """The exact matrix of element i, B^-1 [S[a]; S[b]; S[c]]: one product."""
+        return self.basis_inv * Mat3.from_rows(self.n, [self.vectors[s] for s in self.keys[i]])
 
     def product(self, i: int, j: int) -> int:
         right = self.right
@@ -553,9 +548,9 @@ class _Cayley:
         return i
 
     def inverse(self, i: int) -> int:
-        # the last power of i before the identity
-        prev, x = self.identity, i
-        while x != self.identity:
+        # the last power of i before the identity, 0
+        prev, x = 0, i
+        while x:
             prev, x = x, self.product(x, i)
         return prev
 
@@ -564,7 +559,7 @@ class _Cayley:
 
         The generator columns composed along words[i], |G| lookups a letter.
         """
-        col = range(len(self.elements))
+        col = range(len(self))
         for g in self.words[i]:
             right = self.right[g]
             col = [right[x] for x in col]
@@ -572,7 +567,7 @@ class _Cayley:
 
     def conjugacy_class(self, i: int) -> frozenset:
         # x -> g^-1 x g for the closure generators g, which generate the group
-        conj = [(col, self.inverse(col[self.identity])) for col in self.right]
+        conj = [(col, self.inverse(col[0])) for col in self.right]
         moves = [lambda x, col=col, g_inv=g_inv: col[self.product(g_inv, x)]
                  for col, g_inv in conj]
         return frozenset(_reachable(i, moves))
@@ -587,8 +582,8 @@ class _Cayley:
         """
         right = self.right
         words = [self.words[i] for i in idx]
-        seen = {self.identity}
-        frontier = [self.identity]
+        seen = {0}
+        frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
@@ -616,24 +611,29 @@ class ReflectionGroup:
 
     @property
     def elements(self) -> Tuple[Mat3, ...]:
-        """All group elements, sorted by key(); element indices refer to this."""
-        return self.cayley.elements
+        """All group elements as exact matrices, in closure order with the
+        identity first; element indices refer to this.  Each access makes
+        one matrix product per element (`_Cayley.element`)."""
+        return tuple(self.cayley.element(i) for i in range(self.order))
 
     # -- index-level operations, answered from the Cayley graph -------------
 
     def index_of(self, g: Mat3) -> int:
-        n = self.elements[0].n
+        c = self.cayley
         try:
-            if g.n != n:
+            if g.n != c.n:
                 # a member's entries descend to divisors of n, at any conductor
-                g = Mat3.from_entries([[e.canonical().lift(n) for e in row]
+                g = Mat3.from_entries([[e.canonical().lift(c.n) for e in row]
                                        for row in g.entries()])
-            return self.cayley.index[g.key()]
+            # B g determines g: it is element i when, for each row b of B,
+            # b g is the vector S[s] of S and these s form keys[i]
+            return c.index[tuple(c.vector_index[row_times(c.vectors[b], g)]
+                                 for b in c.basis)]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
 
     def identity_index(self) -> int:
-        return self.cayley.identity
+        return 0
 
     def product_index(self, i: int, j: int) -> int:
         return self.cayley.product(i, j)
@@ -692,14 +692,16 @@ def _standard_triple_exceptional(spec: GroupSpec, cayley: _Cayley,
     e3t = zpow[sum(exps) % h]
     dets, traces = cayley.dets, cayley.traces
 
-    # group reflections into conjugacy classes
+    # group reflections into conjugacy classes, each in key order (that of
+    # refl_idx), not in the closure's element order
+    position = {i: p for p, i in enumerate(refl_idx)}
     classes: List[List[int]] = []
     assigned = set()
     for i in refl_idx:
         if i in assigned:
             continue
         cls = cayley.conjugacy_class(i)
-        classes.append(sorted(cls))
+        classes.append(sorted(cls, key=position.__getitem__))
         assigned |= cls
 
     def lam(i):
@@ -772,31 +774,35 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     The closure (`_close`) walks the exact orbit of the row vector e1
     (then e2, e3 if needed) until it spans, so the group acts faithfully on
     a finite set; an orbit longer than the expected order rejects the
-    candidate.  Elements are enumerated on that permutation action, and
-    each element's exact matrix costs one product along its first edge.
+    candidate.  Elements are enumerated on that permutation action with
+    their traces and determinants; exact matrices are built only for the
+    trace = det + 2 candidates of the reflection scan.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
     for gens in _generating_sets(spec):
         try:
-            cayley = _Cayley.close(gens, bound=expected)
+            cayley = _close(gens, bound=expected)
         except ClosureBoundError:
             continue
-        if len(cayley.elements) == expected:
+        if len(cayley) == expected:
             break
     else:
         raise GroupValidationError(
             f"{spec.label()}: no generating set closes to order {expected}")
     # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2
-    refl = reflections_of([g for g, t, d in zip(cayley.elements, cayley.traces, cayley.dets)
-                           if t == d + 2])
+    candidates = [i for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets))
+                  if t == d + 2]
+    matrices = [cayley.element(i) for i in candidates]
+    refl = reflections_of(matrices)
     if len(refl) != sum(d - 1 for d in degrees):
         raise GroupValidationError(
             f"{spec.label()}: {len(refl)} reflections, expected {sum(d - 1 for d in degrees)}")
     d1, d2, d3 = degrees
     if d1 * d2 * d3 != expected:
         raise GroupValidationError(f"{spec.label()}: degree product mismatch")
-    refl_idx = [cayley.index[r.key()] for r in refl]
+    where = {g.key(): i for g, i in zip(matrices, candidates)}
+    refl_idx = [where[r.key()] for r in refl]
 
     if spec.kind == "imprimitive" or spec.name == "icosahedral":
         # the closure was made from this triple, so it generates the group
@@ -805,7 +811,8 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
             if is_pseudo_reflection(r) is None:
                 raise GroupValidationError(f"{spec.label()}: generator is not a reflection")
     else:
-        triple = tuple(cayley.elements[i]
+        by_index = dict(zip(refl_idx, refl))
+        triple = tuple(by_index[i]
                        for i in _standard_triple_exceptional(spec, cayley, refl_idx))
 
     return ReflectionGroup(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclotomic import (
@@ -30,10 +30,6 @@ class SingularMatrixError(ZeroDivisionError):
 
 class SpectrumError(ValueError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class Mat3:
@@ -71,15 +67,19 @@ class Mat3:
     @staticmethod
     def from_entries(entries: Sequence[Sequence[CycloNum]]) -> "Mat3":
         flat = [entries[i][j] for i in range(3) for j in range(3)]
-        n = 1
-        for e in flat:
-            n = _lcm(n, e.n)
+        n = lcm(*(e.n for e in flat))
         flat = [e.lift(n) for e in flat]
-        den = 1
-        for e in flat:
-            den = _lcm(den, e.den)
+        den = lcm(*(e.den for e in flat))
         nums = [tuple(c * (den // e.den) for c in e.nums) for e in flat]
         return Mat3(n, nums, den)
+
+    @staticmethod
+    def from_rows(n: int, rows: Sequence[tuple]) -> "Mat3":
+        """The matrix whose rows are the exact row vectors `rows`, each
+        (den, (e0, e1, e2)) at conductor n as `row_times` makes them."""
+        den = lcm(*(d for d, _ in rows))
+        return Mat3(n, [tuple(c * (den // d) for c in e) for d, entries in rows
+                        for e in entries], den)
 
     @staticmethod
     def from_rationals(rows: Sequence[Sequence] ) -> "Mat3":
@@ -136,7 +136,7 @@ class Mat3:
             return NotImplemented
         if self.n == other.n:
             return self.den == other.den and self.nums == other.nums
-        m = _lcm(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self.lift(m).key() == other.lift(m).key()
 
     def __hash__(self):
@@ -151,7 +151,7 @@ class Mat3:
     def _match(self, other: "Mat3") -> Tuple["Mat3", "Mat3"]:
         if self.n == other.n:
             return self, other
-        m = _lcm(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
     def __mul__(self, other: "Mat3") -> "Mat3":
@@ -183,11 +183,7 @@ class Mat3:
         return Mat3(a.n, nums, da * db)
 
     def __sub__(self, other: "Mat3") -> "Mat3":
-        a, b = self._match(other)
-        da, db = a.den, b.den
-        nums = [tuple(x * db - y * da for x, y in zip(ea, eb))
-                for ea, eb in zip(a.nums, b.nums)]
-        return Mat3(a.n, nums, da * db)
+        return self + (-other)
 
     def __neg__(self) -> "Mat3":
         return Mat3(self.n, tuple(tuple(-c for c in e) for e in self.nums),
@@ -196,10 +192,6 @@ class Mat3:
     def scale(self, c: CycloNum) -> "Mat3":
         return Mat3.from_entries([[self.entry(i, j) * c for j in range(3)]
                                   for i in range(3)])
-
-    def transpose(self) -> "Mat3":
-        n = [self.nums[3 * j + i] for i in range(3) for j in range(3)]
-        return Mat3(self.n, n, self.den, _normalized=True)
 
     def trace(self) -> CycloNum:
         d = len(self.nums[0])
@@ -277,9 +269,6 @@ class Mat3:
         if any(c for entry in self.nums for c in entry):
             return 1
         return 0
-
-    def to_complex(self):
-        return [[self.entry(i, j).to_complex() for j in range(3)] for i in range(3)]
 
     def order(self, bound: int = 10000) -> int:
         ident = Mat3.identity(self.n)

@@ -42,9 +42,6 @@ class ResidueConfig:
     lm: LambdaMu
     seed: Optional[int] = None
 
-    def matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.b1, self.b2, self.b3, self.b4)
-
     def invariant_errors(self) -> Dict[str, float]:
         """Distances from the defining constraints (all should be tiny)."""
         errs = {}

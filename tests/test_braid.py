@@ -125,6 +125,22 @@ def test_klein_orbits(g336):
         assert sorted(sigma) == list(range(7))
 
 
+def test_orbit_lifts_a_mixed_conductor_seed(g336):
+    # t = -1 and w = x = y = 2 at conductor 1, p and q at 7: unlifted, a
+    # slot would hold 2 at conductor 1 in one state and at 7 in another,
+    # so keys on raw coefficients would split one state in two
+    fp = fingerprint(list(g336.generators))
+    mixed = Fingerprint(*(v.canonical() for v in fp._values()))
+    assert {v.n for v in fp._values()} == {7}
+    assert [v.n for v in mixed._values()] == [1] * 6 + [7] * 2
+    for generators in ("full", "pure"):
+        plain, lifted = orbit(fp, generators), orbit(mixed, generators)
+        assert lifted.branches == plain.branches == 7
+        assert (lifted.sigma1, lifted.sigma2, lifted.sigma_prod) == \
+            (plain.sigma1, plain.sigma2, plain.sigma_prod)
+        assert lifted.orbit == plain.orbit
+
+
 def test_commuting_orbit_is_fixed():
     rep = orbit(_zero_fp(), "full")
     assert rep.branches == 1

@@ -34,8 +34,9 @@ def test_groups_list(capsys):
 
 
 def test_bad_spec_exits_1(capsys):
-    code, _ = run_cli(capsys, "groups", "info", "--spec", "G999")
-    assert code == 1
+    for spec in ("G999", "G(x,1,3)"):
+        assert main(["groups", "info", "--spec", spec]) == 1
+        assert f"error: cannot parse group spec {spec!r}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():
@@ -66,6 +67,8 @@ def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
     ("lemma-params", ["--count", "-5"]), ("cubic", ["--count", "0"]),
     ("schlesinger", ["--tol", "-1"]), ("schlesinger", ["--tol", "0"]),
     ("schlesinger", ["--tol", "nan"]),
+    ("lemma-params", ["--seed", "-1"]), ("cubic", ["--seed", "-1"]),
+    ("schlesinger", ["--seed", "-1"]), ("eta-pvi", ["--seed", "-1"]),
 ])
 def test_out_of_range_verify_flag_is_a_usage_error(check, flags, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -62,9 +62,10 @@ def test_component_permutation_changes_fingerprint(g336):
 def test_fingerprint_by_indices_agrees(g336):
     rng = random.Random(4)
     refl = g336.reflection_indices()
+    els = g336.elements
     for _ in range(10):
         idx = (rng.choice(refl), rng.choice(refl), rng.choice(refl))
-        direct = fingerprint([g336.elements[i] for i in idx])
+        direct = fingerprint([els[i] for i in idx])
         assert fingerprint_by_indices(g336, idx) == direct
 
 
@@ -138,10 +139,11 @@ def test_classify_matches_fingerprint_buckets(spec, fixed_first):
     firsts = [group.index_of(first)] if fixed_first else group.reflection_indices()
     classes = classify_triples(group, first_fixed=first)
     expected = _bucketed(group, firsts)
+    els = group.elements
     assert len(classes) == len(expected)
     for cls, (key, idx, count, order) in zip(classes, expected):
         assert cls.fingerprint.key() == key
         assert cls.fingerprint == fingerprint_by_indices(group, idx)
-        assert cls.representative == tuple(group.elements[i] for i in idx)
+        assert cls.representative == tuple(els[i] for i in idx)
         assert cls.multiplicity == count
         assert cls.generated_order == order

@@ -1,0 +1,72 @@
+"""Write the JSON output of the exact CLI commands, one file per command.
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+Runs each command below with the `reflpvi` package of the tree this
+script sits in (its `src/` goes first on PYTHONPATH), one at a time, and
+writes the command's stdout to OUTDIR/<name>.json, then its exit status
+to OUTDIR/<name>.status.  Snapshots of two trees, made on the same
+machine, compare with `diff -r OLD NEW`: every file is the same exactly
+when the commands give byte-identical output.  The numerical `verify`
+commands are included at a fixed seed, so the comparison also covers
+their floating-point results on one machine.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TREE = Path(__file__).resolve().parent.parent
+
+SPECS = ["G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)", "G(6,6,3)",
+         "G(3,1,3)", "G(4,1,3)", "G(5,1,3)", "G(6,1,3)",
+         "icosahedral", "G336", "G648", "G1296", "G2160"]
+
+
+def _name(spec: str) -> str:
+    return spec.replace("(", "").replace(")", "").replace(",", "-")
+
+
+COMMANDS = (
+    [(f"groups-info-{_name(s)}", ["groups", "info", "--spec", s]) for s in SPECS]
+    + [("params-table", ["params", "table"]),
+       ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
+       ("triples-G648", ["triples", "classify", "--spec", "G648"]),
+       ("orbits-G648", ["orbits", "--spec", "G648"]),
+       ("orbits-G336-fix-first", ["orbits", "--spec", "G336", "--fix-first"]),
+       ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
+       ("reproduce-klein", ["reproduce", "klein"]),
+       ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
+       ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"])]
+)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/cli_snapshot.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(args[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TREE / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("REFLPVI_OUTPUT_DIR", None)
+    for name, cmd in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "reflpvi.cli", *cmd],
+                              env=env, capture_output=True, text=True)
+        if not proc.stdout:
+            print(f"{name}: no output, exit {proc.returncode}: "
+                  f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
+            return 1
+        (out / f"{name}.json").write_text(proc.stdout)
+        (out / f"{name}.status").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
