@@ -51,7 +51,9 @@ def _emit(payload: dict, args) -> None:
         if rows is None:
             raise SystemExit("csv output needs tabular data; use --format json")
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        # rows may differ in keys (a skipped slot has no residual)
+        fields = list(dict.fromkeys(k for row in rows for k in row))
+        writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

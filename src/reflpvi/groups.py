@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycloNum, euler_phi, log_root_of_unity, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, nullspace, row_times
@@ -252,14 +252,12 @@ def _icosahedral_standard_triple() -> List[Mat3]:
     return [m1, m2, m3]
 
 
-def _klein_generating_sets() -> Iterator[List[Mat3]]:
+def _klein_generating_set() -> List[Mat3]:
     """Order-336 symmetry group of the Klein quartic, extended by -1.
 
-    Generated by a diagonal order-7 element, the coordinate 3-cycle, and
-    the negative of the classical involution h with h^2 = 1 built from
-    zeta7^k - zeta7^(-k) over sqrt(-7).  The six normalizations of the
-    diagonal element come out in turn; the caller keeps the first one
-    whose closure has order 336.
+    Generated by the diagonal order-7 element diag(zeta7, zeta7^4, zeta7^2),
+    the coordinate 3-cycle, and the negative of the classical involution h
+    with h^2 = 1 built from zeta7^k - zeta7^(-k) over sqrt(-7).
     """
     z = root_of_unity(7, 1)
     sqrt_m7 = 1 + 2 * (z + z ** 2 + z ** 4)      # Gauss sum for conductor 7
@@ -270,10 +268,8 @@ def _klein_generating_sets() -> Iterator[List[Mat3]]:
     h = Mat3.from_entries([[rows[i][j] * scale for j in range(3)] for i in range(3)])
     if h * h != Mat3.identity(1):
         raise GroupValidationError("Klein involution failed h^2 = 1")
-    tau = Mat3.permutation([1, 2, 0])
-    for e in (1, 2, 3, 4, 5, 6):
-        sigma = Mat3.diag(z ** e, z ** (4 * e % 7), z ** (2 * e % 7))
-        yield [sigma, tau, -h]
+    sigma = Mat3.diag(z, z ** 4, z ** 2)
+    return [sigma, Mat3.permutation([1, 2, 0]), -h]
 
 
 def _hessian_generating_set(extended: bool) -> List[Mat3]:
@@ -341,81 +337,48 @@ def _perm_words(a: tuple, b: tuple) -> Dict[tuple, str]:
     return words
 
 
-def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List[Mat3]:
+def _valentiner_generating_set() -> List[Mat3]:
     """Order-2160 extension of the icosahedral rotation group.
 
     Realize the 60-element rotation subgroup of H3 (entries in Q(sqrt5)) as
-    an alternating group on six letters' subgroup -- either a point
-    stabilizer (exotic=False) or the transitive Moebius action on the
-    projective line over F5 (exotic=True).  An involution outside it is
-    spliced in by solving the exact intertwiner equations on the
+    the alternating group on six letters, through its transitive Moebius
+    action on the projective line over F5, taking for the first generator
+    an order-5 rotation of trace (1+sqrt5)/2.  An involution outside the
+    model is spliced in by solving the exact intertwiner equations on the
     12-element subgroup K that the involution conjugates back into the
-    subgroup, then rescaling the solution to an involution via a square
-    root taken in Q(zeta15).
+    model, then rescaling the solution to an involution via a square root
+    taken in Q(zeta15).
 
-    Because lifts to the triple cover are defined only up to cube roots of
-    unity, the conjugation relation on K may be twisted by a character
-    K -> mu3 (K surjects onto C3); `twist` picks the character value on the
-    order-3 generator.  `chirality` selects between the two 3-dimensional
-    icosahedral representations (told apart by the trace of an order-5
-    element).  With twist 0 the conjugation is untwisted, and all four
-    twist-0 combinations fail the projective-extension filter below, so
-    the caller only asks for twists 1 and 2; those eight (labeling,
-    chirality, twist) combinations all close to order 2160, and the caller
-    keeps the first in its search order.
+    Lifts to the triple cover are defined only up to cube roots of unity,
+    so the conjugation relation on K is twisted by the character K -> mu3
+    that sends the order-3 generator of K to omega: untwisted, the
+    intertwiner does not extend projectively.  The generating pair is
+    found on H3's closure by index, scanning rotations in key order.
     """
-    h3 = enumerate_elements(_icosahedral_standard_triple(), bound=1300)
+    h3 = _close(_icosahedral_standard_triple(), bound=1300)
     if len(h3) != 120:
         raise GroupValidationError("H3 closure failed")
     one_c = CycloNum.one(1)
-    rotations = [g for g in h3 if g.det() == one_c]
-    rotations.sort(key=lambda g: g.key())
-    ident = Mat3.identity(1)
-    invol = [g for g in rotations if g != ident and g * g == ident]
+    mats = {i: h3.element(i) for i in range(len(h3)) if h3.dets[i] == one_c}
+    rotations = sorted(mats, key=lambda i: mats[i].key())
+    # z -> z+1 and z -> -1/z on P1(F5) = {0,1,2,3,4, 5=infinity}
+    pa = (1, 2, 3, 4, 0, 5)
+    pb = (5, 4, 2, 3, 1, 0)
+    t_perm = (1, 0, 3, 2, 4, 5)                  # (0 1)(2 3), outside PSL2(5)
     z5 = root_of_unity(5, 1)
-    # traces of the two classes of order-5 rotations: (1+sqrt5)/2 and (1-sqrt5)/2
-    tau = -(z5 ** 2) - (z5 ** 3)
-    want_trace = tau if chirality == 0 else 1 - tau
-
-    if exotic:
-        # z -> z+1 and z -> -1/z on P1(F5) = {0,1,2,3,4, 5=infinity}
-        pa = (1, 2, 3, 4, 0, 5)
-        pb = (5, 4, 2, 3, 1, 0)
-        t_perm = (1, 0, 3, 2, 4, 5)              # (0 1)(2 3), outside PSL2(5)
-        order5 = [g for g in rotations
-                  if g != ident and (g ** 5) == ident and g.trace() == want_trace]
-        pair = None
-        for x in order5:
-            for y in invol:
-                prod = x * y
-                if prod * prod * prod == ident and prod != ident:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-    else:
-        # a = (0 1)(2 3), b = (0 2 4) inside the stabilizer of the letter 5;
-        # the outside involution is (0 1)(4 5)
-        pa = (1, 0, 3, 2, 4, 5)
-        pb = (2, 1, 4, 3, 0, 5)
-        t_perm = (1, 0, 2, 3, 5, 4)
-        order3 = [g for g in rotations
-                  if g != ident and g * g * g == ident and g * g != ident]
-        pair = None
-        for x in invol:
-            for y in order3:
-                prod = x * y
-                p2 = prod * prod
-                if (p2 * p2 * prod) == ident and prod != ident and prod.trace() == want_trace:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
+    tau = -(z5 ** 2) - (z5 ** 3)                 # (1+sqrt5)/2
+    invol = [i for i in rotations if h3.generated_order((i,)) == 2]
+    order5 = [i for i in rotations
+              if h3.generated_order((i,)) == 5 and h3.traces[i] == tau]
+    pair = next(((x, y) for x in order5 for y in invol
+                 if h3.generated_order((h3.product(x, y),)) == 3), None)
     if pair is None:
         raise GroupValidationError("no generating pair found in the rotation group")
-    gen_a, gen_b = pair
-    if _perm_order(pa) != gen_a.order(10) or _perm_order(pb) != gen_b.order(10):
+    ia, ib = pair
+    if _perm_order(pa) != h3.generated_order((ia,)) or \
+       _perm_order(pb) != h3.generated_order((ib,)):
         raise GroupValidationError("generator orders do not match the permutation model")
+    gen_a, gen_b = mats[ia], mats[ib]
 
     words = _perm_words(pa, pb)
     perm_group = set(words)
@@ -423,10 +386,10 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
         raise GroupValidationError("permutation model does not close to 60 elements")
 
     def evaluate(word: str) -> Mat3:
-        mat = Mat3.identity(1)
+        i = 0
         for letter in word:
-            mat = mat * (gen_a if letter == "a" else gen_b)
-        return mat
+            i = h3.product(i, ia if letter == "a" else ib)
+        return h3.element(i)
 
     # the subgroup K conjugated back into the model by the outside involution
     k_set = [k for k in perm_group
@@ -450,7 +413,7 @@ def _valentiner_generating_set(exotic: bool, chirality: int, twist: int) -> List
     omega = root_of_unity(3, 1)
     pairs = [
         (evaluate(words[k1]), evaluate(words[conj_t(k1)])),
-        (evaluate(words[k2]), evaluate(words[conj_t(k2)]).scale(omega ** twist)),
+        (evaluate(words[k2]), evaluate(words[conj_t(k2)]).scale(omega)),
     ]
 
     # T rho(k) = chi(k) rho(t k t) T; unknowns T_pq flattened row-major
@@ -738,58 +701,47 @@ def _standard_triple_exceptional(spec: GroupSpec, cayley: _Cayley,
         f"no standard generating triple found for {spec.label()}")
 
 
-def _generating_sets(spec: GroupSpec) -> Iterator[List[Mat3]]:
-    """Candidate generating sets of the group, in search order."""
+def _generating_set(spec: GroupSpec) -> List[Mat3]:
+    """The generating set whose closure is the group."""
     if spec.kind == "imprimitive":
-        yield _imprimitive_standard_triple(spec.m, spec.p)
-    elif spec.name == "icosahedral":
-        yield _icosahedral_standard_triple()
-    elif spec.name == "G336":
-        yield from _klein_generating_sets()
-    elif spec.name in ("G648", "G1296"):
-        yield _hessian_generating_set(extended=spec.name == "G1296")
-    else:
-        for exotic in (True, False):
-            for chirality in (0, 1):
-                for twist in (1, 2):
-                    try:
-                        gens = _valentiner_generating_set(exotic, chirality, twist)
-                    except GroupValidationError:
-                        continue
-                    yield gens
+        return _imprimitive_standard_triple(spec.m, spec.p)
+    if spec.name == "icosahedral":
+        return _icosahedral_standard_triple()
+    if spec.name == "G336":
+        return _klein_generating_set()
+    if spec.name in ("G648", "G1296"):
+        return _hessian_generating_set(extended=spec.name == "G1296")
+    return _valentiner_generating_set()
 
 
 def build_group(spec: GroupSpec) -> ReflectionGroup:
     """Construct, enumerate and validate a reflection group.
 
-    The group is the closure of the first candidate generating set whose
-    closure has exactly the expected order: the one standard triple of an
-    imprimitive group or H3, the one Hesse-pencil set, the first of six
-    Klein normalizations, or the first of the eight Valentiner (labeling,
-    chirality, twist) combinations that close.  Twist 0 is not searched:
-    its four combinations never extend projectively, and each one cost a
-    full intertwiner solve before the filter refused it.  That closure is
-    the only one made; every later step works on its Cayley graph.
+    The group is the closure of its one generating set: the standard
+    triple of an imprimitive group or H3, the Klein-quartic set, the
+    Hesse-pencil set or the Valentiner set.  A closure that overruns or
+    falls short of the expected order raises GroupValidationError.  That
+    closure is the only one made; every later step works on its Cayley
+    graph.
 
     The closure (`_close`) walks the exact orbit of the row vector e1
     (then e2, e3 if needed) until it spans, so the group acts faithfully on
-    a finite set; an orbit longer than the expected order rejects the
-    candidate.  Elements are enumerated on that permutation action with
+    a finite set.  Elements are enumerated on that permutation action with
     their traces and determinants; exact matrices are built only for the
     trace = det + 2 candidates of the reflection scan.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
-    for gens in _generating_sets(spec):
-        try:
-            cayley = _close(gens, bound=expected)
-        except ClosureBoundError:
-            continue
-        if len(cayley) == expected:
-            break
-    else:
+    gens = _generating_set(spec)
+    try:
+        cayley = _close(gens, bound=expected)
+    except ClosureBoundError:
         raise GroupValidationError(
-            f"{spec.label()}: no generating set closes to order {expected}")
+            f"{spec.label()}: generating set overruns order {expected}") from None
+    if len(cayley) != expected:
+        raise GroupValidationError(
+            f"{spec.label()}: generating set closes to order {len(cayley)}, "
+            f"expected {expected}")
     # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2
     candidates = [i for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets))
                   if t == d + 2]

@@ -98,7 +98,7 @@ class Theta:
         return f"Theta({self.t1}, {self.t2}, {self.t3}, {self.t4})"
 
 
-def lambda_mu_of_triple(triple: Sequence[Mat3], order_bound: int = 1000) -> LambdaMu:
+def lambda_mu_of_triple(triple: Sequence[Mat3]) -> LambdaMu:
     """Eigenvalue exponents of a pseudo-reflection triple and its product."""
     lambdas = []
     for r in triple:
@@ -107,7 +107,7 @@ def lambda_mu_of_triple(triple: Sequence[Mat3], order_bound: int = 1000) -> Lamb
             raise ValueError("triple component is not a pseudo-reflection")
         lambdas.append(log_root_of_unity(t))
     prod = triple[0] * triple[1] * triple[2]
-    order = prod.order(order_bound)
+    order = prod.order(1000)
     spectrum = finite_order_spectrum(prod, order)
     return LambdaMu(tuple(lambdas), tuple(spectrum.exponents))
 

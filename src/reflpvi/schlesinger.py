@@ -68,7 +68,7 @@ def _rank_one_rows(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(rows)
 
 
-def sample_residues(lm: LambdaMu, seed: int, max_tries: int = 50) -> ResidueConfig:
+def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
     """Random residue quadruple with the prescribed eigenvalue data.
 
     Builds the matrix M with diagonal (l1, l2, l3) whose characteristic
@@ -76,13 +76,13 @@ def sample_residues(lm: LambdaMu, seed: int, max_tries: int = 50) -> ResidueConf
     off-diagonal slots (1,3), (3,1), (2,3), (3,2) are drawn at random,
     w = c - x - y fixes the product b12 b21, and b12 solves the quadratic
     A b12^2 - (a x + b y + k) b12 + w B = 0.  Then B_i = e_i (x) (row i of M)
-    and B4 = -M.
+    and B4 = -M.  Refuses with DegenerateSampleError after 50 draws.
     """
     if not lm.sums_exact():
         raise ValueError("lambda/mu sums must agree exactly; use with_exact_sums()")
     a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(lm))
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(50):
         b13, b31, b23, b32 = rng.uniform(0.5, 1.5, size=4)
         x = b13 * b31
         y = b23 * b32
@@ -106,7 +106,7 @@ def sample_residues(lm: LambdaMu, seed: int, max_tries: int = 50) -> ResidueConf
         config = ResidueConfig(b1, b2, b3, -m, lm, seed)
         if config.invariant_errors()["b4_eigs"] < 1e-8:
             return config
-    raise DegenerateSampleError(f"no valid sample after {max_tries} draws")
+    raise DegenerateSampleError("no valid sample after 50 draws")
 
 
 # Largest condition number accepted for the eigenvector matrix of B4: past
@@ -209,8 +209,8 @@ def _path_points(t_path: Sequence[complex], per_segment: int) -> np.ndarray:
 
 
 def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
-                          tol: float = 1e-10, samples_per_segment: int = 200,
-                          min_distance: float = 1e-3) -> Trajectory:
+                          tol: float = 1e-10, samples_per_segment: int = 200
+                          ) -> Trajectory:
     """Integrate the residue flow along a piecewise-linear path.
 
     B4 stays constant; B3 is recovered from the zero-sum constraint.  The
@@ -219,12 +219,11 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     one stacked product.  Each segment is advanced with an adaptive
     Runge-Kutta 5(4) pair at local tolerance `tol` and sampled at
     `samples_per_segment` points.  Raises PathError when the path comes
-    within `min_distance` of t = 0 or t = 1, or when a segment fails.
+    within 0.001 of t = 0 or t = 1, or when a segment fails.
     """
     t_eval_all = _path_points(t_path, samples_per_segment)
-    if np.min(np.abs(t_eval_all)) < min_distance or \
-       np.min(np.abs(t_eval_all - 1.0)) < min_distance:
-        raise PathError(f"path passes within {min_distance} of a pole position")
+    if np.min(np.abs(t_eval_all)) < 1e-3 or np.min(np.abs(t_eval_all - 1.0)) < 1e-3:
+        raise PathError("path passes within 0.001 of a pole position")
 
     b4 = config.b4.copy()
 
@@ -269,9 +268,10 @@ class ReducedFlowReport:
     f_consistency: float         # max |f_k^2 - f_squared(x_k, y_k)|
 
 
-def reduced_flow_compare(traj: Trajectory, substeps: int = 4) -> ReducedFlowReport:
+def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     """Integrate dx/dt = f/(t-1), dy/dt = -f/t with sign-continuous
-    f = sqrt(f_squared) and compare with the matrix-flow coordinates."""
+    f = sqrt(f_squared), four RK4 steps per sample interval, and compare
+    with the matrix-flow coordinates."""
     lm = traj.lm
     a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(lm))
 
@@ -304,8 +304,8 @@ def reduced_flow_compare(traj: Trajectory, substeps: int = 4) -> ReducedFlowRepo
     max_dev = 0.0
     for k in range(len(ts) - 1):
         t0c, t1c = ts[k], ts[k + 1]
-        h = (t1c - t0c) / substeps
-        for s in range(substeps):
+        h = (t1c - t0c) / 4
+        for s in range(4):
             t = t0c + s * h
             k1x, k1y, fref = deriv(t, x, y, f_prev)
             k2x, k2y, _ = deriv(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y, fref)
@@ -322,11 +322,11 @@ def reduced_flow_compare(traj: Trajectory, substeps: int = 4) -> ReducedFlowRepo
     return ReducedFlowReport(float(max_dev), flags, conservation, f_cons)
 
 
-def eta_samples(traj: Trajectory, min_coeff: float = 1e-8) -> Dict[Tuple[int, int], np.ndarray]:
+def eta_samples(traj: Trajectory) -> Dict[Tuple[int, int], np.ndarray]:
     """Roots of the linear off-diagonal entries of z(z-1)(z-t) B(z).
 
     Valid when B4 is diagonal (checked); slots whose linear coefficient
-    gets too small are omitted.
+    drops below 1e-8 are omitted.
     """
     offdiag = np.abs(traj.b4 - np.diag(np.diag(traj.b4))).max()
     if offdiag > 1e-9:
@@ -343,7 +343,7 @@ def eta_samples(traj: Trajectory, min_coeff: float = 1e-8) -> Dict[Tuple[int, in
             if i == j:
                 continue
             denom = lin[:, i, j]
-            if np.min(np.abs(denom)) < min_coeff:
+            if np.min(np.abs(denom)) < 1e-8:
                 continue
             out[(i, j)] = const[:, i, j] / denom
     return out
@@ -378,18 +378,15 @@ class SlotResidual:
     skipped: Optional[str] = None
 
 
-def eta_pvi_residual(traj: Trajectory, lm: Optional[LambdaMu] = None,
-                     singular_margin: float = 0.05, amplitude_bound: float = 50.0
-                     ) -> Dict[Tuple[int, int], SlotResidual]:
+def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
     """Finite-difference PVI residual of each eta slot, per mu-permutation.
 
     The trajectory must be sampled on a uniform real grid.  For each slot
     the residual is reported for all six permutations of the mu's; the
     minimizing permutation is the one whose PVI parameters the slot obeys.
-    Slots whose root runs off to infinity or close to {0, 1, t} are
+    Slots whose root runs past modulus 50 or within 0.05 of {0, 1, t} are
     degenerate for this check and come back marked skipped.
     """
-    lm = lm or traj.lm
     ts = traj.ts
     if np.abs(ts.imag).max() > 1e-12:
         raise PathError("eta residuals need a real time grid")
@@ -400,7 +397,7 @@ def eta_pvi_residual(traj: Trajectory, lm: Optional[LambdaMu] = None,
 
     abcds = {}
     for perm in permutations(range(3)):
-        th = theta_map(lm, perm)
+        th = theta_map(traj.lm, perm)
         abcds[perm] = tuple(float(v) for v in pvi_abcd(th))
 
     out = {}
@@ -408,11 +405,11 @@ def eta_pvi_residual(traj: Trajectory, lm: Optional[LambdaMu] = None,
         eta = eta.astype(complex)
         closeness = min(np.abs(eta).min(), np.abs(eta - 1).min(),
                         np.abs(eta - treal).min())
-        if np.abs(eta).max() > amplitude_bound:
+        if np.abs(eta).max() > 50.0:
             out[slot] = SlotResidual(slot, float("inf"), None, {},
                                      skipped="root escapes to infinity")
             continue
-        if closeness < singular_margin:
+        if closeness < 0.05:
             out[slot] = SlotResidual(slot, float("inf"), None, {},
                                      skipped="root approaches a singular point")
             continue

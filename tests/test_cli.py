@@ -123,6 +123,14 @@ def test_verify_float_layer(capsys, check):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_eta_pvi_csv_with_a_skipped_slot(capsys):
+    # seed 1 skips a slot, whose row has other keys than the checked ones
+    code, out = run_cli(capsys, "--format", "csv", "verify", "eta-pvi", "--seed", "1")
+    assert code == 0
+    header = out.splitlines()[0].split(",")
+    assert {"slot", "skipped", "residual", "perm"} <= set(header)
+
+
 @pytest.mark.parametrize("error", [DegenerateSampleError, PathError])
 @pytest.mark.parametrize("check", ["schlesinger", "eta-pvi"])
 def test_verify_float_layer_reports_refusal(capsys, monkeypatch, check, error):

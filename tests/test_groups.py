@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from fractions import Fraction
 from reflpvi.cyclotomic import (CycloNum, cyclotomic_polynomial, log_root_of_unity,
                                 root_of_unity)
 from reflpvi.fingerprints import classify_triples
-from reflpvi.groups import (ClosureBoundError, GroupSpec, _close, _generating_sets,
-                            build_group, enumerate_elements, reflections_of)
+from reflpvi import groups
+from reflpvi.groups import (ClosureBoundError, GroupSpec, GroupValidationError, _close,
+                            _generating_set, build_group, enumerate_elements,
+                            reflections_of)
 from reflpvi.linalg3 import Mat3, is_pseudo_reflection
 
 
@@ -139,9 +142,24 @@ def test_exceptional_standard_triples_are_pinned():
     # so its result does not depend on how the closure numbers elements
     pins = {"G336": "a289f9c5bf6ab018", "G648": "eb9ee5a52cc707bf",
             "G1296": "d6efe968f4e12ba4", "G2160": "05e6b39fd69fc024"}
+    # the key-sorted reflections pin the construction of each group
+    reflection_pins = {"G336": "278406256a7692fe", "G648": "74c0ef659fa75718",
+                       "G1296": "cbceb69d07c119ff", "G2160": "2234bb3625bdbb73"}
     for name, digest in pins.items():
-        keys = [r.key() for r in build_group(GroupSpec.exceptional(name)).generators]
+        group = build_group(GroupSpec.exceptional(name))
+        keys = [r.key() for r in group.generators]
         assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == digest, name
+        keys = [r.key() for r in group.reflections]
+        assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == reflection_pins[name], name
+
+
+@pytest.mark.parametrize("label, other", [("G(3,1,3)", "G(2,1,3)"),   # closes to 48 < 162
+                                          ("G(2,1,3)", "G(3,1,3)")])  # overruns 48
+def test_wrong_generating_set_is_refused(monkeypatch, label, other):
+    wrong = _generating_set(GroupSpec.parse(other))
+    monkeypatch.setattr(groups, "_generating_set", lambda spec: wrong)
+    with pytest.raises(GroupValidationError, match=re.escape(f"{label}: generating set")):
+        build_group(GroupSpec.parse(label))
 
 
 def test_index_of_at_a_multiple_of_the_conductor(g336):
@@ -246,8 +264,7 @@ _CLOSURE_SPECS = ["G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)",
 @pytest.mark.parametrize("label", _CLOSURE_SPECS)
 def test_shadow_closure_matches_exact(label):
     spec = GroupSpec.parse(label)
-    for gens in _generating_sets(spec):
-        _same_closure(gens, spec.expected_order())
+    _same_closure(_generating_set(spec), spec.expected_order())
 
 
 def _reducible_sets():
@@ -278,7 +295,7 @@ def test_denominator_prime_is_skipped():
     one = CycloNum.one(1)
     s = Mat3.diag(CycloNum.from_rational(p0), one, one)
     s_inv = Mat3.diag(CycloNum.from_rational(Fraction(1, p0)), one, one)
-    gens = [s_inv * g * s for g in next(_generating_sets(GroupSpec.imprimitive(3, 1)))]
+    gens = [s_inv * g * s for g in _generating_set(GroupSpec.imprimitive(3, 1))]
     assert {g.den for g in gens} == {1, p0}
     _same_closure(gens, 162)
 
