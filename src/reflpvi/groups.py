@@ -5,7 +5,7 @@ Covered: the two imprimitive families G(m,1,3) and G(m,m,3) for m >= 2,
 the icosahedral Coxeter group H3, and the four exceptional groups of
 orders 336, 648, 1296 and 2160.  Exceptional generators come from the
 classical models (symmetries of the Klein quartic, of the Hesse pencil,
-and the Valentiner extension of the icosahedral rotation group); every
+and H3's Coxeter triple plus one reflection for Valentiner's group); every
 construction is validated at build time against the known order, degree
 table and reflection count, so a transcription slip cannot survive.
 """
@@ -16,10 +16,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .cyclotomic import CycloNum, euler_phi, log_root_of_unity, root_of_unity
-from .linalg3 import Mat3, is_pseudo_reflection, nullspace, row_times
+from .linalg3 import Mat3, is_pseudo_reflection, row_times
 
 
 class ClosureBoundError(RuntimeError):
@@ -206,14 +206,12 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
         dets=_shared(dets))
 
 
-def enumerate_elements(generators: Sequence[Mat3], bound: Optional[int] = None) -> List[Mat3]:
+def enumerate_elements(generators: Sequence[Mat3], bound: int = 1_000_000) -> List[Mat3]:
     """Breadth-first closure of a generating set, identity first.
 
     The closure is `_close` (raising ClosureBoundError past `bound`), and
     each element's exact matrix is then one product, `_Cayley.element`.
     """
-    if bound is None:
-        bound = 1_000_000
     cayley = _close(generators, bound)
     return [cayley.element(i) for i in range(len(cayley))]
 
@@ -290,6 +288,40 @@ def _hessian_generating_set(extended: bool) -> List[Mat3]:
 
 # -- Valentiner (order 2160) -------------------------------------------------
 
+def _valentiner_generating_set() -> List[Mat3]:
+    """Valentiner's group: H3's Coxeter triple and one reflection outside H3.
+
+    The added r = I + u v^T (v^T u = -2, so r^2 = 1) is the first of the
+    group's 45 reflections, in `Mat3.key()` order, not in H3 = A5 x {+-1}.
+    Any *reflection* outside H3 generates G2160 = {+-1} x 3.A6 with H3; an
+    arbitrary element need not (omega I with H3 generates only 360).  H3's
+    traces are real, so a reflection outside H3 (trace 1) is not a
+    mu3-multiple of an H3 element, and its image in G2160/Z = A6 lies
+    outside H3's image A5.  A5 is maximal in A6, and 3.A6 is a perfect,
+    non-split cover, so the generated subgroup, which contains -1 and maps
+    onto A6, is the whole group.
+    """
+    z = root_of_unity(15, 1)
+    one = CycloNum.one(1)
+    c = z + z ** 4
+    u = (2 - z - 2 * z ** 2 + 2 * z ** 3 - z ** 4 + z ** 5 - 2 * z ** 7, 2 * one, one)
+    v = (-c, (c + z ** 5) * Fraction(1, 2), CycloNum.zero(1))
+    r = Mat3.identity(1) + Mat3.from_entries([[a * b for b in v] for a in u])
+    if is_pseudo_reflection(r) is None or r * r != Mat3.identity(1):
+        raise GroupValidationError("Valentiner generator is not an order-2 reflection")
+    return _icosahedral_standard_triple() + [r]
+
+
+# ---------------------------------------------------------------------------
+# the group object
+# ---------------------------------------------------------------------------
+
+def _shared(values: Iterable[CycloNum]) -> Tuple[CycloNum, ...]:
+    """The values, with equal ones (all at one conductor) sharing one object."""
+    distinct: Dict[tuple, CycloNum] = {}
+    return tuple(distinct.setdefault((v.nums, v.den), v) for v in values)
+
+
 def _reachable(start, moves: Sequence[Callable]) -> set:
     """Everything reachable from `start` under repeated application of `moves`."""
     seen = {start}
@@ -304,173 +336,6 @@ def _reachable(start, moves: Sequence[Callable]) -> set:
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-def _perm_mul(p: tuple, q: tuple) -> tuple:
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def _perm_order(p: tuple) -> int:
-    ident = tuple(range(len(p)))
-    cur = p
-    k = 1
-    while cur != ident:
-        cur = _perm_mul(cur, p)
-        k += 1
-    return k
-
-
-def _perm_words(a: tuple, b: tuple) -> Dict[tuple, str]:
-    """Words in generators a, b (letters 'a','b') for every reachable permutation."""
-    ident = tuple(range(len(a)))
-    words = {ident: ""}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for letter, gen in (("a", a), ("b", b)):
-                new = _perm_mul(perm, gen)
-                if new not in words:
-                    words[new] = words[perm] + letter
-                    nxt.append(new)
-        frontier = nxt
-    return words
-
-
-def _valentiner_generating_set() -> List[Mat3]:
-    """Order-2160 extension of the icosahedral rotation group.
-
-    Realize the 60-element rotation subgroup of H3 (entries in Q(sqrt5)) as
-    the alternating group on six letters, through its transitive Moebius
-    action on the projective line over F5, taking for the first generator
-    an order-5 rotation of trace (1+sqrt5)/2.  An involution outside the
-    model is spliced in by solving the exact intertwiner equations on the
-    12-element subgroup K that the involution conjugates back into the
-    model, then rescaling the solution to an involution via a square root
-    taken in Q(zeta15).
-
-    Lifts to the triple cover are defined only up to cube roots of unity,
-    so the conjugation relation on K is twisted by the character K -> mu3
-    that sends the order-3 generator of K to omega: untwisted, the
-    intertwiner does not extend projectively.  The generating pair is
-    found on H3's closure by index, scanning rotations in key order.
-    """
-    h3 = _close(_icosahedral_standard_triple(), bound=1300)
-    if len(h3) != 120:
-        raise GroupValidationError("H3 closure failed")
-    one_c = CycloNum.one(1)
-    mats = {i: h3.element(i) for i in range(len(h3)) if h3.dets[i] == one_c}
-    rotations = sorted(mats, key=lambda i: mats[i].key())
-    # z -> z+1 and z -> -1/z on P1(F5) = {0,1,2,3,4, 5=infinity}
-    pa = (1, 2, 3, 4, 0, 5)
-    pb = (5, 4, 2, 3, 1, 0)
-    t_perm = (1, 0, 3, 2, 4, 5)                  # (0 1)(2 3), outside PSL2(5)
-    z5 = root_of_unity(5, 1)
-    tau = -(z5 ** 2) - (z5 ** 3)                 # (1+sqrt5)/2
-    invol = [i for i in rotations if h3.generated_order((i,)) == 2]
-    order5 = [i for i in rotations
-              if h3.generated_order((i,)) == 5 and h3.traces[i] == tau]
-    pair = next(((x, y) for x in order5 for y in invol
-                 if h3.generated_order((h3.product(x, y),)) == 3), None)
-    if pair is None:
-        raise GroupValidationError("no generating pair found in the rotation group")
-    ia, ib = pair
-    if _perm_order(pa) != h3.generated_order((ia,)) or \
-       _perm_order(pb) != h3.generated_order((ib,)):
-        raise GroupValidationError("generator orders do not match the permutation model")
-    gen_a, gen_b = mats[ia], mats[ib]
-
-    words = _perm_words(pa, pb)
-    perm_group = set(words)
-    if len(perm_group) != 60:
-        raise GroupValidationError("permutation model does not close to 60 elements")
-
-    def evaluate(word: str) -> Mat3:
-        i = 0
-        for letter in word:
-            i = h3.product(i, ia if letter == "a" else ib)
-        return h3.element(i)
-
-    # the subgroup K conjugated back into the model by the outside involution
-    k_set = [k for k in perm_group
-             if _perm_mul(t_perm, _perm_mul(k, t_perm)) in perm_group]
-    if len(k_set) != 12:
-        raise GroupValidationError(f"intersection subgroup has size {len(k_set)}, expected 12")
-    k_set.sort()
-    k1 = next(k for k in k_set if _perm_order(k) == 2)
-    k2 = None
-    for cand in k_set:
-        moves = [lambda p, g=g: _perm_mul(p, g) for g in (k1, cand)]
-        if _perm_order(cand) == 3 and len(_reachable(tuple(range(len(pa))), moves)) == 12:
-            k2 = cand
-            break
-    if k2 is None:
-        raise GroupValidationError("no generating pair for the intersection subgroup")
-
-    def conj_t(p):
-        return _perm_mul(t_perm, _perm_mul(p, t_perm))
-
-    omega = root_of_unity(3, 1)
-    pairs = [
-        (evaluate(words[k1]), evaluate(words[conj_t(k1)])),
-        (evaluate(words[k2]), evaluate(words[conj_t(k2)]).scale(omega)),
-    ]
-
-    # T rho(k) = chi(k) rho(t k t) T; unknowns T_pq flattened row-major
-    rows: List[List[CycloNum]] = []
-    zero = CycloNum.zero(1)
-    for left, right in pairs:
-        le = left.entries()
-        re = right.entries()
-        for i in range(3):
-            for j in range(3):
-                row = [zero] * 9
-                for k in range(3):
-                    row[3 * i + k] = row[3 * i + k] + le[k][j]
-                    row[3 * k + j] = row[3 * k + j] - re[i][k]
-                rows.append(row)
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        raise GroupValidationError(
-            f"intertwiner space has dimension {len(basis)}, expected 1")
-    vec = basis[0]
-    t = Mat3.from_entries([[vec[3 * i + j] for j in range(3)] for i in range(3)])
-    t2 = t * t
-    c = t2.entry(0, 0)
-    if t2 != Mat3.diag(c, c, c) or c.is_zero():
-        raise GroupValidationError("intertwiner square is not scalar")
-
-    # decisive filter: T realizes the outside involution projectively iff
-    # mixed products have the permutation model's projective orders
-    for gen_mat, gen_perm in ((gen_a, pa), (gen_b, pb)):
-        o = _perm_order(_perm_mul(t_perm, gen_perm))
-        power = Mat3.identity(1)
-        mixed = t * gen_mat
-        for _ in range(o):
-            power = power * mixed
-        # (T g)^o must be scalar
-        e = power.entry(0, 0)
-        if power != Mat3.diag(e, e, e):
-            raise GroupValidationError("intertwiner does not extend projectively")
-
-    # T itself is only determined up to an unknown scalar, but conjugation
-    # by T lands exactly in the triple cover; together with -1 this
-    # generates the full order-2160 group
-    c_inv = c.inverse()
-    conj_a = (t * gen_a * t).scale(c_inv)
-    conj_b = (t * gen_b * t).scale(c_inv)
-    minus_one = -Mat3.identity(1)
-    return [gen_a, gen_b, conj_a, conj_b, minus_one]
-
-
-# ---------------------------------------------------------------------------
-# the group object
-# ---------------------------------------------------------------------------
-
-def _shared(values: Iterable[CycloNum]) -> Tuple[CycloNum, ...]:
-    """The values, with equal ones (all at one conductor) sharing one object."""
-    distinct: Dict[tuple, CycloNum] = {}
-    return tuple(distinct.setdefault((v.nums, v.den), v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -719,7 +584,8 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
 
     The group is the closure of its one generating set: the standard
     triple of an imprimitive group or H3, the Klein-quartic set, the
-    Hesse-pencil set or the Valentiner set.  A closure that overruns or
+    Hesse-pencil set, or H3's triple plus one reflection outside H3 for
+    Valentiner's group.  A closure that overruns or
     falls short of the expected order raises GroupValidationError.  That
     closure is the only one made; every later step works on its Cayley
     graph.

@@ -154,12 +154,24 @@ def test_exceptional_standard_triples_are_pinned():
 
 
 @pytest.mark.parametrize("label, other", [("G(3,1,3)", "G(2,1,3)"),   # closes to 48 < 162
-                                          ("G(2,1,3)", "G(3,1,3)")])  # overruns 48
+                                          ("G(2,1,3)", "G(3,1,3)"),   # overruns 48
+                                          ("G2160", "icosahedral")])  # H3 alone: 120
 def test_wrong_generating_set_is_refused(monkeypatch, label, other):
     wrong = _generating_set(GroupSpec.parse(other))
     monkeypatch.setattr(groups, "_generating_set", lambda spec: wrong)
     with pytest.raises(GroupValidationError, match=re.escape(f"{label}: generating set")):
         build_group(GroupSpec.parse(label))
+
+
+def test_valentiner_reflection_is_the_first_outside_h3():
+    gens = _generating_set(GroupSpec.exceptional("G2160"))
+    triple = groups._icosahedral_standard_triple()
+    assert len(gens) == 4 and gens[:3] == triple
+    group = build_group(GroupSpec.exceptional("G2160"))
+    h3 = _close(triple, 120)
+    inside = {group.index_of(h3.element(i)) for i in range(len(h3))}
+    assert gens[3] == next(r for r in group.reflections
+                           if group.index_of(r) not in inside)
 
 
 def test_index_of_at_a_multiple_of_the_conductor(g336):
