@@ -21,14 +21,25 @@ from .params import (
     normalize_cubic,
     CubicForm,
 )
-from .schlesinger import (
-    ResidueConfig,
-    Trajectory,
-    sample_residues,
-    diagonalize_gauge,
-    integrate_schlesinger,
-    reduced_flow_compare,
-    eta_pvi_residual,
-)
+
+# The floating-point layer (numpy) loads on first use, so that the exact
+# layer and the CLI's exact commands import no numpy (PEP 562).
+_FLOAT_LAYER = frozenset((
+    "ResidueConfig",
+    "Trajectory",
+    "sample_residues",
+    "diagonalize_gauge",
+    "integrate_schlesinger",
+    "reduced_flow_compare",
+    "eta_pvi_residual",
+))
+
+
+def __getattr__(name):
+    if name in _FLOAT_LAYER:
+        from . import schlesinger
+        return getattr(schlesinger, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

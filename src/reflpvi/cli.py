@@ -33,9 +33,6 @@ from .braid import orbit, orbit_partition
 from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
                      random_lambda_mu, table1, theta_map, f_squared,
                      f_hitchin_squared, CubicForm, normalize_cubic)
-from .schlesinger import (DegenerateSampleError, PathError, sample_residues,
-                          diagonalize_gauge, integrate_schlesinger,
-                          reduced_flow_compare, eta_pvi_residual)
 
 SCHEMA = 1
 
@@ -205,6 +202,9 @@ def cmd_verify(args) -> int:
                "float_max_error": float_err}, args)
         return 0
 
+    # the floating-point layer (numpy) is imported only by these two checks
+    from .schlesinger import (DegenerateSampleError, PathError, sample_residues,
+                              diagonalize_gauge)
     lm = LambdaMu((Fraction(1, 2),) * 3,
                   (Fraction(3, 14), Fraction(5, 14), Fraction(13, 14)))
     try:
@@ -218,10 +218,11 @@ def cmd_verify(args) -> int:
 
 
 def _verify_schlesinger(config, args) -> dict:
+    from .schlesinger import (integrate_schlesinger, reduced_flow_compare,
+                              trajectory_csv)
     traj = integrate_schlesinger(config, [0.5, 0.8], tol=args.tol,
                                  samples_per_segment=300)
     if args.dump:
-        from .schlesinger import trajectory_csv
         trajectory_csv(traj, args.dump)
     rep = reduced_flow_compare(traj)
     drift = traj.eigenvalue_drift()
@@ -236,6 +237,7 @@ def _verify_schlesinger(config, args) -> dict:
 
 
 def _verify_eta_pvi(config) -> dict:
+    from .schlesinger import integrate_schlesinger, eta_pvi_residual
     traj = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
                                  samples_per_segment=100)
     res = eta_pvi_residual(traj)

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .cyclotomic import CycloNum, euler_phi, log_root_of_unity, root_of_unity
+from .cyclotomic import (CycloNum, _normalize, euler_phi, log_root_of_unity,
+                         root_of_unity)
 from .linalg3 import Mat3, is_pseudo_reflection, row_times
 
 
@@ -164,7 +165,9 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     permutation: no matrix product.  A determinant is multiplied along
     the element's first edge; a trace is read off the key (a, b, c) as
     tr((B x) B^-1), the sum of entries 0, 1, 2 of S[a], S[b], S[c] times
-    B^-1.  More than `bound` elements raise ClosureBoundError.
+    B^-1, taken on integer coefficients over one common denominator, with
+    one CycloNum per distinct trace.  More than `bound` elements raise
+    ClosureBoundError.
     """
     n = lcm(*(g.n for g in generators))
     gens = [g.lift(n) for g in generators]
@@ -194,16 +197,24 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
             right[g].append(j)
         i += 1
     basis_inv = Mat3.from_rows(n, [vectors[s] for s in basis]).inverse()
-    diag = []                       # diag[s][j]: entry j of S[s] B^-1
-    for v in vectors:
-        den, entries = row_times(v, basis_inv)
-        diag.append([CycloNum(n, e, den) for e in entries])
+    rows = [row_times(v, basis_inv) for v in vectors]   # S[s] B^-1, as integers
+    traces = []
+    distinct: Dict[tuple, CycloNum] = {}
+    for a, b, c in keys:
+        (da, ea), (db, eb), (dc, ec) = rows[a], rows[b], rows[c]
+        den = lcm(da, db, dc)
+        ka, kb, kc = den // da, den // db, den // dc
+        key = _normalize([x * ka + y * kb + z * kc
+                          for x, y, z in zip(ea[0], eb[1], ec[2])], den)
+        trace = distinct.get(key)
+        if trace is None:
+            trace = distinct[key] = CycloNum(n, *key, _normalized=True)
+        traces.append(trace)
     return _Cayley(
         n=n, vectors=tuple(vectors), vector_index=vector_index, basis=basis,
         basis_inv=basis_inv, keys=tuple(keys), index=index,
         right=tuple(tuple(col) for col in right), words=tuple(words),
-        traces=_shared(diag[a][0] + diag[b][1] + diag[c][2] for a, b, c in keys),
-        dets=_shared(dets))
+        traces=tuple(traces), dets=_shared(dets))
 
 
 def enumerate_elements(generators: Sequence[Mat3], bound: int = 1_000_000) -> List[Mat3]:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from reflpvi import cli
+from reflpvi import schlesinger
 from reflpvi.cli import main
 from reflpvi.schlesinger import DegenerateSampleError, PathError
 
@@ -136,11 +140,34 @@ def test_verify_eta_pvi_csv_with_a_skipped_slot(capsys):
 def test_verify_float_layer_reports_refusal(capsys, monkeypatch, check, error):
     def refuse(lm, seed):
         raise error("B4 has no eigenbasis")
-    monkeypatch.setattr(cli, "sample_residues", refuse)
+    monkeypatch.setattr(schlesinger, "sample_residues", refuse)
     code, out = run_cli(capsys, "verify", check, "--seed", "1")
     assert code == 1
     assert json.loads(out) == {"schema": 1, "check": check, "ok": False,
                                "error": "B4 has no eigenbasis"}
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+# runs cli.main on the given argv, then reports whether a module was loaded
+_PROBE = """
+import sys
+from reflpvi.cli import main
+code = main(sys.argv[2:])
+print(sys.argv[1] in sys.modules, code, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("numpy", ["groups", "info", "--spec", "G336"]),
+    ("scipy", ["verify", "schlesinger", "--seed", "1"]),
+])
+def test_command_does_not_import(module, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "False 0", proc.stderr
 
 
 def test_orbits_small_group(capsys):

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from scipy.integrate import solve_ivp
 
+from reflpvi import rk45, schlesinger
 from reflpvi.params import LambdaMu, cubic_coeffs
 from reflpvi.schlesinger import (DegenerateSampleError, PathError,
                                  diagonalize_gauge, eta_pvi_residual,
@@ -134,16 +135,73 @@ def _integrate_per_matrix(config, t_path, tol, samples_per_segment):
     return np.array(ts, dtype=complex), np.array(b1s), np.array(b2s)
 
 
-@pytest.mark.parametrize("t_path, samples", [([0.5, 0.8], 300),
-                                             ([0.5, 0.5 + 0.2j, 0.7 + 0.2j], 40)])
-def test_stacked_flow_matches_per_matrix_flow(t_path, samples):
-    config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
-    traj = integrate_schlesinger(config, t_path, tol=1e-11,
+# The CLI's two verdict settings: `verify schlesinger` and `verify eta-pvi`.
+VERDICT_PATHS = {"flow": ([0.5, 0.8], 1e-10, 300), "eta": ([0.5, 0.6], 1e-12, 100)}
+
+
+@pytest.mark.parametrize("lm, t_path, tol, samples", [
+    pytest.param(KLEIN, [0.5, 0.8], 1e-11, 300, id="t_path0-300"),
+    pytest.param(KLEIN, [0.5, 0.5 + 0.2j, 0.7 + 0.2j], 1e-11, 40, id="t_path1-40"),
+] + [
+    pytest.param(LambdaMu(*TABLE1_LM[group]), *VERDICT_PATHS[kind], id=f"{group}-{kind}")
+    for group in TABLE1_LM if group != "G(3,3,3)" for kind in VERDICT_PATHS
+])
+def test_stacked_flow_matches_per_matrix_flow(lm, t_path, tol, samples):
+    """The stacked right-hand side integrated by reflpvi.rk45 against the
+    per-matrix one integrated by scipy's RK45: bitwise equal samples."""
+    config = diagonalize_gauge(sample_residues(lm, seed=1))
+    traj = integrate_schlesinger(config, t_path, tol=tol,
                                  samples_per_segment=samples)
-    ts, b1s, b2s = _integrate_per_matrix(config, t_path, 1e-11, samples)
+    ts, b1s, b2s = _integrate_per_matrix(config, t_path, tol, samples)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.b1s, b1s)
     assert np.array_equal(traj.b2s, b2s)
+
+
+def test_failed_integration_matches_scipy():
+    """A right-hand side that turns NaN past s = 0.3 makes both steppers
+    shrink the step below the float spacing and give up alike."""
+    def fun(s, y):
+        return np.full_like(y, np.nan) if s > 0.3 else -y + np.cos(s)
+
+    y0 = np.array([1.0, 0.5, -2.0])
+    s_eval = np.linspace(0.0, 1.0, 11)
+    ours = rk45.solve_ivp(fun, y0, s_eval, rtol=1e-10, atol=1e-12, max_step=0.05)
+    ref = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", t_eval=s_eval,
+                    rtol=1e-10, atol=1e-12, max_step=0.05)
+    assert not ref.success and not ours.success
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.y, ref.y)
+
+
+def test_not_finite_start_fails_at_once():
+    # scipy's step loop never ends here: its first step is NaN, and a NaN
+    # step is never below the minimum step
+    def fun(s, y):
+        return np.full_like(y, np.nan)
+
+    sol = rk45.solve_ivp(fun, np.ones(3), [0.0, 1.0], rtol=1e-10, atol=1e-12,
+                         max_step=0.05)
+    assert not sol.success and sol.message == rk45.NOT_FINITE
+    assert sol.nfev == 2 and sol.y.shape == (3, 0)
+
+
+def test_failed_segment_is_a_path_error(monkeypatch):
+    calls = []
+
+    def nan_on_second_segment(fun, y0, t_eval, **kw):
+        calls.append(None)
+        if len(calls) == 2:
+            return rk45.solve_ivp(lambda s, y: fun(s, y) * (np.nan if s > 0.3 else 1.0),
+                                  y0, t_eval, **kw)
+        return rk45.solve_ivp(fun, y0, t_eval, **kw)
+
+    monkeypatch.setattr(schlesinger, "solve_ivp", nan_on_second_segment)
+    config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
+    with pytest.raises(PathError, match="integration failed on segment 1: "
+                                        + rk45.TOO_SMALL_STEP):
+        integrate_schlesinger(config, [0.5, 0.6, 0.7], samples_per_segment=10)
 
 
 def test_eigenvalue_drift_matches_per_sample_loop(klein_traj):
