@@ -17,6 +17,8 @@ scipy call (and tools that look the function up by name) reads it alike.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,16 +52,18 @@ P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 # (node, weights) of stages 1..5, each weight row cut to the stages before it
-STAGES = tuple((C[s], A[s, :s]) for s in range(1, 6))
+STAGES = tuple((float(C[s]), A[s, :s]) for s in range(1, 6))
 
 SAFETY = 0.9                  # multiplies the asymptotically optimal factor
 MIN_FACTOR = 0.2              # largest decrease of the step in one rejection
 MAX_FACTOR = 10               # largest increase of the step in one acceptance
 ERROR_EXPONENT = -1 / (4 + 1)  # -1 / (error estimator order + 1)
 EPS = np.finfo(float).eps
-# scipy computes the direction as np.sign(t_bound - t0), a numpy scalar; the
-# products with it keep numpy scalar types where scipy has them
-DIRECTION = np.sign(1.0 - 0.0)
+# The step loop holds t, h and the step bounds as Python floats where scipy
+# has numpy float64 scalars.  Both are IEEE doubles, and +, -, *, / and
+# ** (C's pow) round alike on either, so every value is bitwise the same.
+# scipy's direction, np.sign(t_bound - t0), is 1.0 on [0, 1]: its products
+# are exact and are left out.
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 NOT_FINITE = "The start state or its derivative is not finite."
@@ -75,7 +79,8 @@ class Solution:
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm of a real 1-D array is sqrt(x.dot(x))
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, y0, f0, rtol, atol, max_step):
@@ -89,8 +94,8 @@ def _initial_step(fun, y0, f0, rtol, atol, max_step):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * DIRECTION * f0
-    f1 = fun(0.0 + h0 * DIRECTION, y1)
+    y1 = y0 + h0 * f0
+    f1 = fun(0.0 + h0, y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -134,16 +139,23 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
     t = 0.0
     f = f_of(t, y)
     h_abs = _initial_step(f_of, y, f, rtol, atol, max_step)
-    if np.isnan(h_abs):
+    if math.isnan(h_abs):
         # scipy would loop for ever: a NaN step is never below min_step
         return Solution(np.empty((y.size, 0)), nfev, False, NOT_FINITE)
     K = np.empty((7, y.size), dtype=y.dtype)
+    # K[:s].T for each stage, cut once: the same views, so the same dot calls
+    KT = K.T
+    stages = [(s, c, KT[:, :s], a) for s, (c, a) in enumerate(STAGES, start=1)]
+    KT_b = KT[:, :6]
+    root_n = y.size ** 0.5
+    abs_y = np.abs(y)
+    t_eval_list = t_eval.tolist()
     ys = []
     t_eval_i = 0
     message = REACHED_END
     success = True
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, DIRECTION * np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -153,22 +165,33 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
             if h_abs < min_step:
                 success, message = False, TOO_SMALL_STEP
                 break
-            h = h_abs * DIRECTION
-            t_new = t + h
-            if DIRECTION * (t_new - 1.0) > 0:
+            t_new = t + h_abs
+            if t_new > 1.0:
                 t_new = 1.0
             h = t_new - t
-            h_abs = np.abs(h)
-            # one Dormand-Prince step; K[6] is the derivative at the new point
+            h_abs = abs(h)
+            # one Dormand-Prince step; K[6] is the derivative at the new point.
+            # Each stage is scipy's y + np.dot(K[:s].T, a) * h, its products
+            # and sums taken in place in the same order
             K[0] = f
-            for s, (c, a) in enumerate(STAGES, start=1):
-                dy = np.dot(K[:s].T, a) * h
-                K[s] = f_of(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
+            for s, c, k_cols, a in stages:
+                dy = np.dot(k_cols, a)
+                dy *= h
+                dy += y
+                K[s] = f_of(t + c * h, dy)
+            y_new = np.dot(KT_b, B)
+            y_new *= h
+            y_new += y
             f_new = f_of(t + h, y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            K[6] = f_new
+            abs_y_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += atol
+            err = np.dot(KT, E)
+            err *= h
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / root_n
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -183,19 +206,24 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
         if not success:
             break
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-        t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-        if t_eval_step.size > 0:
-            # the quartic interpolant on [t_old, t] (scipy's RkDenseOutput)
-            Q = K.T.dot(P)
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        t_eval_i_new = bisect.bisect_right(t_eval_list, t)
+        if t_eval_i_new > t_eval_i:
+            # the quartic interpolant on [t_old, t] (scipy's RkDenseOutput);
+            # the rows of p are x, x^2, x^3, x^4 multiplied up in cumprod's order
+            Q = KT.dot(P)
             h_dense = t - t_old
-            p = np.cumprod(np.tile((t_eval_step - t_old) / h_dense, (4, 1)), axis=0)
-            y_step = h_dense * np.dot(Q, p)
+            x = (t_eval[t_eval_i:t_eval_i_new] - t_old) / h_dense
+            p = np.empty((4, x.size))
+            p[0] = x
+            for row in range(1, 4):
+                np.multiply(p[row - 1], x, out=p[row])
+            y_step = np.dot(Q, p)
+            y_step *= h_dense
             y_step += y_old[:, None]
             ys.append(y_step)
             t_eval_i = t_eval_i_new
-        if DIRECTION * (t - 1.0) >= 0:
+        if t >= 1.0:
             break
     y_out = np.hstack(ys) if ys else np.empty((y.size, 0))
     return Solution(y_out, nfev, success, message)

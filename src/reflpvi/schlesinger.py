@@ -230,23 +230,33 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
         raise PathError("path passes within 0.001 of a pole position")
 
     b4 = config.b4.copy()
+    neg_b4 = -b4
 
     z0 = np.concatenate([config.b1.ravel(), config.b2.ravel()])
     state = np.concatenate([z0.real, z0.imag])
     s_eval = np.linspace(0.0, 1.0, samples_per_segment + 1)
     ts_out = [t_eval_all[:1]]
     bb_out = [np.stack([config.b1, config.b2])[None]]
+    # the right-hand side's scratch: (B1, B2) and the divisors (t, t - 1)
+    bb = np.empty((2, 3, 3), dtype=complex)
+    bb_re, bb_im = bb.real.reshape(18), bb.imag.reshape(18)
+    poles = np.empty((2, 1, 1), dtype=complex)
     for seg in range(len(t_path) - 1):
         a, b = complex(t_path[seg]), complex(t_path[seg + 1])
         dt = b - a
 
         def rhs(s, y):
-            bb = (y[:18] + 1j * y[18:]).reshape(2, 3, 3)
+            bb_re[:] = y[:18]
+            bb_im[:] = y[18:]
             t = a + s * dt
-            b3 = -b4 - bb[0] - bb[1]
-            d = ((b3 @ bb - bb @ b3) / np.array([t, t - 1.0])[:, None, None]
-                 * dt).ravel()
-            return np.concatenate([d.real, d.imag])
+            poles[0, 0, 0] = t
+            poles[1, 0, 0] = t - 1.0
+            b3 = neg_b4 - bb[0] - bb[1]
+            d = b3 @ bb - bb @ b3
+            d /= poles
+            d *= dt
+            d = d.reshape(18)
+            return np.concatenate((d.real, d.imag))
 
         sol = solve_ivp(rhs, state, s_eval, rtol=tol, atol=tol * 1e-2,
                         max_step=0.05)
@@ -257,9 +267,9 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
         bb_out.append((ys[:18] + 1j * ys[18:]).T.reshape(-1, 2, 3, 3))
         state = sol.y[:, -1]
 
-    bb = np.concatenate(bb_out)
+    samples = np.concatenate(bb_out)
     # contiguous copies: einsum's summation order depends on the strides
-    return Trajectory(np.concatenate(ts_out), bb[:, 0].copy(), bb[:, 1].copy(),
+    return Trajectory(np.concatenate(ts_out), samples[:, 0].copy(), samples[:, 1].copy(),
                       b4, config.lm, config)
 
 
@@ -287,36 +297,61 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     fs_m = traj.fs()
     flags = 0
 
-    def f_value(x, y, ref):
-        nonlocal flags
-        root = cmath.sqrt(f2(x, y))
-        if abs(root) < 1e-10:
-            flags += 1
-        return root if abs(root - ref) <= abs(-root - ref) else -root
-
-    def deriv(t, x, y, ref):
-        f = f_value(x, y, ref)
-        return f / (t - 1.0), -f / t, f
-
-    # the RK4 below is sequential, so it runs on Python complex numbers:
-    # numpy scalar arithmetic costs several times more per operation
+    # The RK4 below is sequential, so it runs on Python complex numbers
+    # (numpy scalar arithmetic costs several times more per operation), with
+    # f2 and the sign-continuous root inlined at each stage.  A stage's f is
+    # the root of f2 nearer to the substep's reference f, and a root within
+    # 1e-10 of the branch point raises a flag.  The reference is k1's f,
+    # which is the f found at the end of the previous substep, at the same
+    # (x, y): nearest to itself, it is reused, and still counted.
     ts = traj.ts.tolist()
     xs_l, ys_l = xs_m.tolist(), ys_m.tolist()
     x, y = xs_l[0], ys_l[0]
-    f_prev = complex(fs_m[0])
+    lin = a_c * x + b_c * y + k_c
+    root = cmath.sqrt(lin * lin + 4 * x * y * (x + y - c_c))
+    ref = complex(fs_m[0])
+    f_prev = root if abs(root - ref) <= abs(-root - ref) else -root
     max_dev = 0.0
     for k in range(len(ts) - 1):
         t0c, t1c = ts[k], ts[k + 1]
         h = (t1c - t0c) / 4
+        h2, h6 = h / 2, h / 6
         for s in range(4):
             t = t0c + s * h
-            k1x, k1y, fref = deriv(t, x, y, f_prev)
-            k2x, k2y, _ = deriv(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y, fref)
-            k3x, k3y, _ = deriv(t + h / 2, x + h / 2 * k2x, y + h / 2 * k2y, fref)
-            k4x, k4y, _ = deriv(t + h, x + h * k3x, y + h * k3y, fref)
-            x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            f_prev = f_value(x, y, fref)
+            th = t + h2
+            fref = f_prev
+            if abs(fref) < 1e-10:
+                flags += 1
+            k1x, k1y = fref / (t - 1.0), -fref / t
+            xm, ym = x + h2 * k1x, y + h2 * k1y
+            lin = a_c * xm + b_c * ym + k_c
+            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
+            if abs(root) < 1e-10:
+                flags += 1
+            f = root if abs(root - fref) <= abs(-root - fref) else -root
+            k2x, k2y = f / (th - 1.0), -f / th
+            xm, ym = x + h2 * k2x, y + h2 * k2y
+            lin = a_c * xm + b_c * ym + k_c
+            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
+            if abs(root) < 1e-10:
+                flags += 1
+            f = root if abs(root - fref) <= abs(-root - fref) else -root
+            k3x, k3y = f / (th - 1.0), -f / th
+            xm, ym = x + h * k3x, y + h * k3y
+            lin = a_c * xm + b_c * ym + k_c
+            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
+            if abs(root) < 1e-10:
+                flags += 1
+            f = root if abs(root - fref) <= abs(-root - fref) else -root
+            t1 = t + h
+            k4x, k4y = f / (t1 - 1.0), -f / t1
+            x = x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+            lin = a_c * x + b_c * y + k_c
+            root = cmath.sqrt(lin * lin + 4 * x * y * (x + y - c_c))
+            if abs(root) < 1e-10:
+                flags += 1
+            f_prev = root if abs(root - fref) <= abs(-root - fref) else -root
         max_dev = max(max_dev, abs(x - xs_l[k + 1]), abs(y - ys_l[k + 1]))
 
     wxy = traj.ws() + xs_m + ys_m
@@ -361,15 +396,6 @@ def trajectory_csv(traj: Trajectory, path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def _pvi_rhs(eta, etap, t, alpha, beta, gamma, delta):
-    one_over = 1.0 / eta + 1.0 / (eta - 1.0) + 1.0 / (eta - t)
-    tpart = 1.0 / t + 1.0 / (t - 1.0) + 1.0 / (eta - t)
-    poly = (alpha + beta * t / eta ** 2 + gamma * (t - 1.0) / (eta - 1.0) ** 2
-            + delta * t * (t - 1.0) / (eta - t) ** 2)
-    return (one_over * etap ** 2 / 2 - tpart * etap
-            + eta * (eta - 1.0) * (eta - t) / (t ** 2 * (t - 1.0) ** 2) * poly)
 
 
 @dataclass
@@ -420,12 +446,25 @@ def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
         etap = (-eta[4:] + 8 * eta[3:-1] - 8 * eta[1:-3] + eta[:-4]) / (12 * h)
         etapp = (-eta[4:] + 16 * eta[3:-1] - 30 * eta[2:-2]
                  + 16 * eta[1:-3] - eta[:-4]) / (12 * h * h)
-        mid = eta[2:-2]
-        tmid = treal[2:-2]
+        # the PVI right-hand side
+        #   (1/eta + 1/(eta-1) + 1/(eta-t)) eta'^2 / 2
+        #     - (1/t + 1/(t-1) + 1/(eta-t)) eta'
+        #     + eta (eta-1) (eta-t) / (t^2 (t-1)^2) * poly,
+        #   poly = alpha + beta t / eta^2 + gamma (t-1) / (eta-1)^2
+        #          + delta t (t-1) / (eta-t)^2,
+        # with everything but poly computed once for the six permutations
+        eta = eta[2:-2]
+        t = treal[2:-2]
+        eta1, eta_t, t1 = eta - 1.0, eta - t, t - 1.0
+        eta_terms = ((1.0 / eta + 1.0 / eta1 + 1.0 / eta_t) * etap ** 2 / 2
+                     - (1.0 / t + 1.0 / t1 + 1.0 / eta_t) * etap)
+        poly_weight = eta * eta1 * eta_t / (t ** 2 * t1 ** 2)
+        eta_sq, eta1_sq, eta_t_sq = eta ** 2, eta1 ** 2, eta_t ** 2
         by_perm = {}
         for perm, (al, be, ga, de) in abcds.items():
-            rhs = _pvi_rhs(mid, etap, tmid, al, be, ga, de)
-            by_perm[perm] = float(np.abs(etapp - rhs).max())
+            poly = (al + be * t / eta_sq + ga * t1 / eta1_sq
+                    + de * t * t1 / eta_t_sq)
+            by_perm[perm] = float(np.abs(etapp - (eta_terms + poly_weight * poly)).max())
         best = min(by_perm, key=by_perm.get)
         out[slot] = SlotResidual(slot, by_perm[best], best, by_perm)
     return out

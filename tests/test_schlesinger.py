@@ -1,13 +1,16 @@
+import cmath
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from reflpvi import rk45, schlesinger
-from reflpvi.params import LambdaMu, cubic_coeffs
+from reflpvi.params import LambdaMu, cubic_coeffs, pvi_abcd, theta_map
 from reflpvi.schlesinger import (DegenerateSampleError, PathError,
+                                 ReducedFlowReport, Trajectory,
                                  diagonalize_gauge, eta_pvi_residual,
                                  eta_samples, integrate_schlesinger,
                                  reduced_flow_compare, sample_residues)
@@ -175,6 +178,32 @@ def test_failed_integration_matches_scipy():
     assert np.array_equal(ours.y, ref.y)
 
 
+def test_rejected_steps_and_step_end_samples_match_scipy():
+    """A scalar IVP whose steps get rejected, sampled on some of the step
+    ends and between them: the same y and nfev as scipy's solve_ivp."""
+    def fun(s, y):
+        return -50.0 * (y - np.cos(10.0 * s))
+
+    # scipy's stepper, one step at a time: the step ends, and the rejections
+    # (a step that takes more than one attempt uses more than six evaluations)
+    stepper = RK45(fun, 0.0, np.array([0.0]), 1.0, rtol=1e-6, atol=1e-8)
+    ends, rejected = [], 0
+    while stepper.status == "running":
+        nfev = stepper.nfev
+        stepper.step()
+        ends.append(stepper.t)
+        rejected += (stepper.nfev - nfev) // 6 - 1
+    assert rejected > 0
+    s_eval = np.union1d(ends[::3], np.linspace(0.0, 1.0, 7))
+    assert len(set(s_eval) & set(ends)) > 30
+    ours = rk45.solve_ivp(fun, [0.0], s_eval, rtol=1e-6, atol=1e-8, max_step=np.inf)
+    ref = solve_ivp(fun, (0.0, 1.0), [0.0], method="RK45", t_eval=s_eval,
+                    rtol=1e-6, atol=1e-8)
+    assert ours.success and ref.success
+    assert ours.nfev == ref.nfev == stepper.nfev
+    assert np.array_equal(ours.y, ref.y)
+
+
 def test_not_finite_start_fails_at_once():
     # scipy's step loop never ends here: its first step is NaN, and a NaN
     # step is never below the minimum step
@@ -250,6 +279,124 @@ def test_reduced_flow(klein_traj):
     assert rep.max_deviation < 1e-6
     assert rep.f_consistency < 1e-8
     assert rep.conservation_drift < 1e-10
+
+
+def _reduced_flow_per_stage(traj):
+    """`reduced_flow_compare` written stage by stage: f2, the sign-continuous
+    root and the RK4 derivative as functions, and k1's root recomputed."""
+    a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(traj.lm))
+
+    def f2(x, y):
+        lin = a_c * x + b_c * y + k_c
+        return lin * lin + 4 * x * y * (x + y - c_c)
+
+    flags = 0
+
+    def f_value(x, y, ref):
+        nonlocal flags
+        root = cmath.sqrt(f2(x, y))
+        if abs(root) < 1e-10:
+            flags += 1
+        return root if abs(root - ref) <= abs(-root - ref) else -root
+
+    def deriv(t, x, y, ref):
+        f = f_value(x, y, ref)
+        return f / (t - 1.0), -f / t, f
+
+    xs_m, ys_m, fs_m = traj.xs(), traj.ys(), traj.fs()
+    ts, xs, ys = traj.ts.tolist(), xs_m.tolist(), ys_m.tolist()
+    x, y, f_prev = xs[0], ys[0], complex(fs_m[0])
+    max_dev = 0.0
+    for k in range(len(ts) - 1):
+        h = (ts[k + 1] - ts[k]) / 4
+        for s in range(4):
+            t = ts[k] + s * h
+            k1x, k1y, fref = deriv(t, x, y, f_prev)
+            k2x, k2y, _ = deriv(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y, fref)
+            k3x, k3y, _ = deriv(t + h / 2, x + h / 2 * k2x, y + h / 2 * k2y, fref)
+            k4x, k4y, _ = deriv(t + h, x + h * k3x, y + h * k3y, fref)
+            x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+            f_prev = f_value(x, y, fref)
+        max_dev = max(max_dev, abs(x - xs[k + 1]), abs(y - ys[k + 1]))
+    wxy = traj.ws() + xs_m + ys_m
+    return ReducedFlowReport(float(max_dev), flags,
+                             float(np.abs(wxy - wxy[0]).max()),
+                             float(np.abs(fs_m ** 2 - f2(xs_m, ys_m)).max()))
+
+
+def _branch_point_traj(lm):
+    """A made-up trajectory that starts on or next to the branch point
+    f_squared = 0: B2 = B4 = 0 and B1 = diag(s, 0, 0) give y = 0 and
+    x = -s^2 = -k/a, so f_squared = (a x + k)^2 is zero up to rounding."""
+    a_c, _, k_c, _ = (float(v) for v in cubic_coeffs(lm))
+    s = cmath.sqrt(k_c / a_c) if a_c else 1.0
+    ts = np.linspace(0.5, 0.6, 21).astype(complex)
+    b1s = np.zeros((len(ts), 3, 3), dtype=complex)
+    b1s[:, 0, 0] = s
+    zero = np.zeros((3, 3), dtype=complex)
+    return Trajectory(ts, b1s, np.zeros_like(b1s), zero, lm, None)
+
+
+# Klein, a row with a = 0 and b != 0 in the cubic, and one with k = 0
+PINNED_ROWS = {"G336": KLEIN, "G1296": LambdaMu(*TABLE1_LM["G1296"]),
+               "G648": LambdaMu(*TABLE1_LM["G648"])}
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_ROWS))
+def test_reduced_flow_matches_per_stage_rk4(row):
+    config = diagonalize_gauge(sample_residues(PINNED_ROWS[row], seed=1))
+    t_path, tol, samples = VERDICT_PATHS["flow"]
+    traj = integrate_schlesinger(config, t_path, tol=tol, samples_per_segment=samples)
+    assert reduced_flow_compare(traj) == _reduced_flow_per_stage(traj)
+
+
+@pytest.mark.parametrize("row", ["G(3,1,3)", "icosahedral"])
+def test_reduced_flow_counts_branch_point_flags(row):
+    # G(3,1,3) starts within rounding of the branch point; icosahedral
+    # (k = 0) starts on it exactly, where the root is 0 at every stage
+    traj = _branch_point_traj(LambdaMu(*TABLE1_LM[row]))
+    rep = reduced_flow_compare(traj)
+    assert rep.sign_flags > 0
+    assert rep == _reduced_flow_per_stage(traj)
+
+
+def _pvi_rhs(eta, etap, t, alpha, beta, gamma, delta):
+    one_over = 1.0 / eta + 1.0 / (eta - 1.0) + 1.0 / (eta - t)
+    tpart = 1.0 / t + 1.0 / (t - 1.0) + 1.0 / (eta - t)
+    poly = (alpha + beta * t / eta ** 2 + gamma * (t - 1.0) / (eta - 1.0) ** 2
+            + delta * t * (t - 1.0) / (eta - t) ** 2)
+    return (one_over * etap ** 2 / 2 - tpart * etap
+            + eta * (eta - 1.0) * (eta - t) / (t ** 2 * (t - 1.0) ** 2) * poly)
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_ROWS))
+def test_eta_residuals_match_per_permutation_rhs(row):
+    """Each checked slot's residual for each permutation equals the one of
+    the PVI right-hand side evaluated whole for that permutation."""
+    lm = PINNED_ROWS[row]
+    config = diagonalize_gauge(sample_residues(lm, seed=1))
+    t_path, tol, samples = VERDICT_PATHS["eta"]
+    traj = integrate_schlesinger(config, t_path, tol=tol, samples_per_segment=samples)
+    res = eta_pvi_residual(traj)
+    checked = [sr for sr in res.values() if not sr.skipped]
+    assert checked
+    t = traj.ts.real
+    h = t[1] - t[0]
+    t = t[2:-2]
+    etas = eta_samples(traj)
+    for sr in checked:
+        eta = etas[sr.slot].astype(complex)
+        etap = (-eta[4:] + 8 * eta[3:-1] - 8 * eta[1:-3] + eta[:-4]) / (12 * h)
+        etapp = (-eta[4:] + 16 * eta[3:-1] - 30 * eta[2:-2]
+                 + 16 * eta[1:-3] - eta[:-4]) / (12 * h * h)
+        expected = {}
+        for perm in permutations(range(3)):
+            abcd = (float(v) for v in pvi_abcd(theta_map(lm, perm)))
+            rhs = _pvi_rhs(eta[2:-2], etap, t, *abcd)
+            expected[perm] = float(np.abs(etapp - rhs).max())
+        assert sr.residuals_by_perm == expected
+        assert sr.residual == min(expected.values())
 
 
 def test_convergence_with_tolerance():

@@ -81,6 +81,15 @@ def parse_spec(text: str, parts: int):
     return (fields[0],) + tuple(int(f) for f in fields[1:])
 
 
+def _version(package: str):
+    """The installed version of `package`, or None when it is missing (scipy
+    is only a test extra)."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def git_head(tree: Path) -> str:
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
@@ -114,7 +123,7 @@ def main(argv=None) -> int:
                  "per pass of one --trace 1 run per side. Written by tools/bench_pairs.py."),
         "parent_commit": args.parent_commit or git_head(trees["parent"]),
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                 **{pkg: metadata.version(pkg) for pkg in ("numpy", "scipy")}},
+                 **{pkg: _version(pkg) for pkg in ("numpy", "scipy")}},
         "workloads": {},
         "traced": {},
     }
