@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .cyclotomic import (CycloNum, _normalize, euler_phi, log_root_of_unity,
                          root_of_unity)
-from .linalg3 import Mat3, is_pseudo_reflection, row_times
+from .linalg3 import Mat3, is_pseudo_reflection, row_map
 
 
 class ClosureBoundError(RuntimeError):
@@ -103,13 +103,13 @@ class GroupSpec:
 def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     """The generated group G as permutations of a finite set of row vectors.
 
-    The generators are at conductor n.  Walks the exact orbit of the row
-    vector e1 under v -> v g, then those of e2 and e3 (skipping a seed
-    already seen), until the vectors found span K^3.  A finite set S with
-    S g in S for every generator g is permuted by each g, so G acts on S;
-    S spans, so the action is faithful and G is finite.  One orbit has at
-    most |G| vectors, so an orbit of more than `bound` vectors raises
-    ClosureBoundError.
+    The generators are at conductor n, each compiled once by `row_map`.
+    Walks the exact orbit of the row vector e1 under v -> v g, then those
+    of e2 and e3 (skipping a seed already seen), until the vectors found
+    span K^3.  A finite set S with S g in S for every generator g is
+    permuted by each g, so G acts on S; S spans, so the action is faithful
+    and G is finite.  One orbit has at most |G| vectors, so an orbit of
+    more than `bound` vectors raises ClosureBoundError.
 
     Returns S, its index (vector -> position), perms with perms[g][s] the
     index in S of S[s] g, and the indices in S of three independent vectors.
@@ -128,6 +128,7 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
         if Mat3.from_rows(n, rows).rank() > len(basis):
             basis.append(i)
 
+    maps = [row_map(g) for g in gens]
     s = 0                            # the next vector of S to move
     for k in range(3):
         if len(basis) == 3:
@@ -139,8 +140,8 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
         vectors.append(seed)
         note(start)
         while s < len(vectors):
-            for g, perm in zip(gens, perms):
-                w = row_times(vectors[s], g)
+            for times_g, perm in zip(maps, perms):
+                w = times_g(vectors[s])
                 t = index.get(w)
                 if t is None:
                     if len(vectors) - start >= bound:
@@ -162,11 +163,14 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     the matrix of its three independent rows b1, b2, b3, an element x is
     keyed on the indices in S of the rows b1 x, b2 x, b3 x of B x, which
     determine x = B^-1 (B x), and a generator maps each index through its
-    permutation: no matrix product.  A determinant is multiplied along
-    the element's first edge; a trace is read off the key (a, b, c) as
-    tr((B x) B^-1), the sum of entries 0, 1, 2 of S[a], S[b], S[c] times
-    B^-1, taken on integer coefficients over one common denominator, with
-    one CycloNum per distinct trace.  More than `bound` elements raise
+    permutation: no matrix product.  An element's determinant is its
+    parent's times the generator's on its first edge; determinants are
+    roots of unity, so each distinct (determinant, generator) pair is
+    multiplied once, in a table local to the call.  A trace is read off
+    the key (a, b, c) as tr((B x) B^-1), the sum of entries 0, 1, 2 of
+    S[a], S[b], S[c] times B^-1 (one `row_map` of B^-1 for all of S),
+    taken on integer coefficients over one common denominator, with one
+    CycloNum per distinct trace.  More than `bound` elements raise
     ClosureBoundError.
     """
     n = lcm(*(g.n for g in generators))
@@ -179,6 +183,7 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     keys = [basis]
     index = {basis: 0}
     words, dets = [()], [CycloNum.one(n)]
+    det_products: Dict[tuple, CycloNum] = {}    # (det value, generator) -> product
     right: List[List[int]] = [[] for _ in gens]
     i = 0
     while i < len(keys):            # keys doubles as the BFS queue
@@ -193,11 +198,17 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
                 j = index[k] = len(keys)
                 keys.append(k)
                 words.append(words[i] + (g,))
-                dets.append(dets[i] * gen_dets[g])
+                det = dets[i]
+                dk = (det.nums, det.den, g)
+                product = det_products.get(dk)
+                if product is None:
+                    product = det_products[dk] = det * gen_dets[g]
+                dets.append(product)
             right[g].append(j)
         i += 1
     basis_inv = Mat3.from_rows(n, [vectors[s] for s in basis]).inverse()
-    rows = [row_times(v, basis_inv) for v in vectors]   # S[s] B^-1, as integers
+    times_basis_inv = row_map(basis_inv)
+    rows = [times_basis_inv(v) for v in vectors]   # S[s] B^-1, as integers
     traces = []
     distinct: Dict[tuple, CycloNum] = {}
     for a, b, c in keys:
@@ -447,6 +458,8 @@ class ReflectionGroup:
     reflections: Tuple[Mat3, ...]
     reflections_single_class: bool
     cayley: _Cayley = field(repr=False, compare=False)
+    # reflections[k] is element refl_idx[k]
+    refl_idx: Tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def elements(self) -> Tuple[Mat3, ...]:
@@ -466,7 +479,8 @@ class ReflectionGroup:
                                        for row in g.entries()])
             # B g determines g: it is element i when, for each row b of B,
             # b g is the vector S[s] of S and these s form keys[i]
-            return c.index[tuple(c.vector_index[row_times(c.vectors[b], g)]
+            times_g = row_map(g)
+            return c.index[tuple(c.vector_index[times_g(c.vectors[b])]
                                  for b in c.basis)]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
@@ -487,7 +501,7 @@ class ReflectionGroup:
         return self.cayley.dets[i]
 
     def reflection_indices(self) -> List[int]:
-        return [self.index_of(r) for r in self.reflections]
+        return list(self.refl_idx)
 
     def conjugacy_class(self, i: int) -> frozenset:
         """Indices of the conjugacy class of element i."""
@@ -604,8 +618,9 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     The closure (`_close`) walks the exact orbit of the row vector e1
     (then e2, e3 if needed) until it spans, so the group acts faithfully on
     a finite set.  Elements are enumerated on that permutation action with
-    their traces and determinants; exact matrices are built only for the
-    trace = det + 2 candidates of the reflection scan.
+    their traces and determinants.  The reflection scan forms det + 2 once
+    for each distinct determinant and compares every trace with it; exact
+    matrices are built only for the trace = det + 2 candidates.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
@@ -619,9 +634,16 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
         raise GroupValidationError(
             f"{spec.label()}: generating set closes to order {len(cayley)}, "
             f"expected {expected}")
-    # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2
-    candidates = [i for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets))
-                  if t == d + 2]
+    # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2;
+    # a group has few distinct dets, so det + 2 is made once for each
+    plus_two: Dict[tuple, CycloNum] = {}
+    candidates = []
+    for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets)):
+        target = plus_two.get((d.nums, d.den))
+        if target is None:
+            target = plus_two[(d.nums, d.den)] = d + 2
+        if t == target:
+            candidates.append(i)
     matrices = [cayley.element(i) for i in candidates]
     refl = reflections_of(matrices)
     if len(refl) != sum(d - 1 for d in degrees):
@@ -652,4 +674,5 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
         reflections=tuple(refl),
         reflections_single_class=len(cayley.conjugacy_class(refl_idx[0])) == len(refl),
         cayley=cayley,
+        refl_idx=tuple(refl_idx),
     )

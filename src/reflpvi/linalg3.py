@@ -4,8 +4,8 @@ A Mat3 keeps all nine entries at one conductor over one common positive
 denominator, as integer coefficient tuples on the power basis.  Products
 then run in pure integer arithmetic (convolution + one reduction per
 entry + one gcd pass per matrix), and equal matrices at one conductor have
-equal keys.  `row_times` applies a matrix to an exact row vector in the
-same arithmetic.
+equal keys.  `row_map` compiles a matrix into a map on exact row vectors:
+one integer dot product per output coordinate, no convolution.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import (
     CycloNum,
+    cyclotomic_polynomial,
     euler_phi,
     log_root_of_unity,
     reduce_power_coeffs,
@@ -76,7 +78,7 @@ class Mat3:
     @staticmethod
     def from_rows(n: int, rows: Sequence[tuple]) -> "Mat3":
         """The matrix whose rows are the exact row vectors `rows`, each
-        (den, (e0, e1, e2)) at conductor n as `row_times` makes them."""
+        (den, (e0, e1, e2)) at conductor n as `row_map` makes them."""
         den = lcm(*(d for d, _ in rows))
         return Mat3(n, [tuple(c * (den // d) for c in e) for d, entries in rows
                         for e in entries], den)
@@ -280,30 +282,45 @@ class Mat3:
         raise ValueError(f"element order exceeds bound {bound}")
 
 
-def row_times(row: Tuple[int, Tuple[Tuple[int, ...], ...]], m: Mat3
-              ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The row vector row * m, with row = (den, (e0, e1, e2)) given as
-    integer power-basis coefficient tuples over one positive denominator at
-    m's conductor.  The result has the same form, with the gcd of the
-    denominator and all coefficients divided out, so it is a canonical key.
+def row_map(m: Mat3) -> Callable[[tuple], tuple]:
+    """The map row -> row * m, compiled once for many rows.
+
+    A row is (den, (e0, e1, e2)): integer power-basis coefficient tuples
+    over one positive denominator at m's conductor.  Coordinate i of entry
+    j of row * m is linear in the 3 phi(n) coefficients of the row, with
+    integer weights read off zeta^p times row k of m (made here once, each
+    power by one more multiplication by zeta), so applying the map is one
+    integer dot product per output coordinate and one gcd pass.  The
+    result has the row form, with the gcd of the denominator and all
+    coefficients divided out, so it is a canonical key.
     """
-    den, entries = row
-    n, nums = m.n, m.nums
-    width = 2 * len(nums[0]) - 1
-    out = []
+    nums, mden = m.nums, m.den
+    d = len(nums[0])
+    phi = cyclotomic_polynomial(m.n)[:-1]     # zeta^d = -sum_i phi[i] zeta^i
+    cols = []               # one weight column per output coordinate (j, i)
     for j in range(3):
-        conv = [0] * width
+        block = []          # zeta^p m[k][j] at position k d + p of the row
         for k in range(3):
-            y = nums[3 * k + j]
-            for p, xp in enumerate(entries[k]):
-                if xp:
-                    for q, yq in enumerate(y):
-                        if yq:
-                            conv[p + q] += xp * yq
-        out.append(reduce_power_coeffs(n, conv))
-    den *= m.den
-    g = gcd(den, *(c for e in out for c in e))
-    return den // g, tuple(tuple(c // g for c in e) for e in out)
+            x = nums[3 * k + j]
+            for _ in range(d):
+                block.append(x)
+                top, x = x[-1], (0,) + x[:-1]
+                if top:
+                    x = tuple(c - top * f for c, f in zip(x, phi))
+        cols.extend(zip(*block))
+
+    def apply(row):
+        den, (e0, e1, e2) = row
+        v = e0 + e1 + e2
+        flat = [sum(map(mul, v, col)) for col in cols]
+        den *= mden
+        g = gcd(den, *flat)
+        if g > 1:
+            den //= g
+            flat = [c // g for c in flat]
+        return den, (tuple(flat[:d]), tuple(flat[d:2 * d]), tuple(flat[2 * d:]))
+
+    return apply
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -386,10 +403,13 @@ def finite_order_spectrum(m: Mat3, order: int) -> Spectrum:
     tr = -c2
     e2 = c1
     det = -c0
+    # det = zeta_order^k_det: its log has a denominator dividing order, as
+    # det^order = det(M^order) = 1
     det_log = log_root_of_unity(det)
+    k_det = det_log.numerator * (order // det_log.denominator)
     zpow = [root_of_unity(order, k) for k in range(order)]
     for ks in combinations_with_replacement(range(order), 3):
-        if Fraction(sum(ks) % order, order) != det_log:
+        if sum(ks) % order != k_det:
             continue
         if zpow[ks[0]] + zpow[ks[1]] + zpow[ks[2]] != tr:
             continue

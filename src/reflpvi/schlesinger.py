@@ -51,11 +51,15 @@ class ResidueConfig:
             errs[f"trace_{name}"] = abs(np.trace(b) - float(lam))
             s = np.linalg.svd(b, compute_uv=False)
             errs[f"rank_{name}"] = float(s[1] / max(s[0], 1e-30))
-        eig = np.sort_complex(np.linalg.eigvals(self.b4))
-        target = np.sort_complex(np.array([-float(m) for m in self.lm.mus],
-                                          dtype=complex))
-        errs["b4_eigs"] = float(np.abs(eig - target).max())
+        errs["b4_eigs"] = _b4_eig_error(self.b4, self.lm)
         return errs
+
+
+def _b4_eig_error(b4: np.ndarray, lm: LambdaMu) -> float:
+    """Distance of the spectrum of B4 from (-mu1, -mu2, -mu3), both sorted."""
+    eig = np.sort_complex(np.linalg.eigvals(b4))
+    target = np.sort_complex(np.array([-float(m) for m in lm.mus], dtype=complex))
+    return float(np.abs(eig - target).max())
 
 
 def _rank_one_rows(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,10 +105,10 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
             [b21, float(lm.lambdas[1]), b23],
             [b31, b32, float(lm.lambdas[2])],
         ], dtype=complex)
-        b1, b2, b3 = _rank_one_rows(m)
-        config = ResidueConfig(b1, b2, b3, -m, lm, seed)
-        if config.invariant_errors()["b4_eigs"] < 1e-8:
-            return config
+        b4 = -m
+        if _b4_eig_error(b4, lm) < 1e-8:
+            b1, b2, b3 = _rank_one_rows(m)
+            return ResidueConfig(b1, b2, b3, b4, lm, seed)
     raise DegenerateSampleError("no valid sample after 50 draws")
 
 

@@ -16,7 +16,8 @@ from reflpvi import groups
 from reflpvi.groups import (ClosureBoundError, GroupSpec, GroupValidationError, _close,
                             _generating_set, build_group, enumerate_elements,
                             reflections_of)
-from reflpvi.linalg3 import Mat3, is_pseudo_reflection
+from reflpvi.linalg3 import Mat3, is_pseudo_reflection, row_map
+from reflpvi.params import DEFAULT_TABLE_SPECS
 
 
 def test_spec_parsing():
@@ -185,6 +186,36 @@ def test_index_of_at_a_multiple_of_the_conductor(g336):
                     r.scale(CycloNum.from_rational(2)).lift(14)):
         with pytest.raises(ValueError, match="does not belong"):
             g336.index_of(outside)
+
+
+@pytest.fixture(scope="module")
+def table1_groups():
+    return {spec.label(): build_group(spec) for spec in DEFAULT_TABLE_SPECS}
+
+
+def test_row_map_matches_the_matrix_product(table1_groups):
+    # every closure generator and B^-1 of these groups, on every vector of S
+    dens = set()
+    for label in ("G(4,1,3)", "G336", "G648", "G2160"):
+        c = table1_groups[label].cayley
+        zero = (1, ((0,) * len(c.vectors[0][1][0]),) * 3)
+        mats = [g.lift(c.n) for g in _generating_set(GroupSpec.parse(label))]
+        for m in mats + [c.basis_inv]:
+            dens.add(m.den)
+            apply = row_map(m)
+            for row in c.vectors:
+                product = Mat3.from_rows(c.n, [row, zero, zero]) * m
+                assert apply(row) == (product.den, product.nums[:3])
+    assert max(dens) > 1      # the gcd pass has a denominator to clear
+
+
+@pytest.mark.parametrize("label", [spec.label() for spec in DEFAULT_TABLE_SPECS])
+def test_reflection_prescan_finds_reflections_and_identity(table1_groups, label):
+    group = table1_groups[label]
+    c = group.cayley
+    candidates = {i for i in range(len(c)) if c.traces[i] == c.dets[i] + 2}
+    assert candidates == set(group.reflection_indices()) | {0}
+    assert group.reflection_indices() == [group.index_of(r) for r in group.reflections]
 
 
 # -- the row-action closure against an exact one -----------------------------
