@@ -119,6 +119,22 @@ def reduce_power_coeffs(n: int, coeffs: Sequence[int]) -> list:
     return out
 
 
+def dot(n: int, pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> list:
+    """sum x y over the pairs (x, y) of integer power-basis tuples at conductor n.
+
+    The one convolution loop of the exact layer: every pair is convolved
+    into one shared coefficient list, which is reduced once modulo Phi_n.
+    """
+    conv = [0] * (2 * euler_phi(n) - 1)
+    for x, y in pairs:
+        for p, xp in enumerate(x):
+            if xp:
+                for q, yq in enumerate(y, p):
+                    if yq:
+                        conv[q] += xp * yq
+    return reduce_power_coeffs(n, conv)
+
+
 def _normalize(nums: Iterable[int], den: int) -> Tuple[Tuple[int, ...], int]:
     nums = tuple(nums)
     if den < 0:
@@ -377,15 +393,7 @@ class CycloNum:
 
     def __mul__(self, other) -> "CycloNum":
         a, b = self._match(other)
-        d = len(a.nums)
-        conv = [0] * (2 * d - 1)
-        an, bn = a.nums, b.nums
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        conv[i + j] += x * y
-        return CycloNum(a.n, reduce_power_coeffs(a.n, conv), a.den * b.den)
+        return CycloNum(a.n, dot(a.n, ((a.nums, b.nums),)), a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -2,10 +2,13 @@
 
 A Mat3 keeps all nine entries at one conductor over one common positive
 denominator, as integer coefficient tuples on the power basis.  Products
-then run in pure integer arithmetic (convolution + one reduction per
-entry + one gcd pass per matrix), and equal matrices at one conductor have
-equal keys.  `row_map` compiles a matrix into a map on exact row vectors:
-one integer dot product per output coordinate, no convolution.
+then run in pure integer arithmetic: each entry is one call of the
+kernel `cyclotomic.dot` (three convolutions summed, one reduction), and
+one gcd pass per matrix makes equal matrices at one conductor have equal
+keys.  The adjugate of the numerators, nine 2x2 minors by the same kernel,
+gives det, charpoly, inverse, rank and the pseudo-reflection test.
+`row_map` compiles a matrix into a map on exact row vectors: one integer
+dot product per output coordinate, no convolution.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .cyclotomic import (
     CycloNum,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     log_root_of_unity,
-    reduce_power_coeffs,
     root_of_unity,
 )
 
@@ -32,6 +35,13 @@ class SingularMatrixError(ZeroDivisionError):
 
 class SpectrumError(ValueError):
     pass
+
+
+# adj[j][i] = m[i+1][j+1] m[i+2][j+2] - m[i+1][j+2] m[i+2][j+1], indices
+# mod 3: the entry indices (a, d, b, c) of each minor ad - bc, row-major in adj
+_ADJUGATE = tuple((3 * ((i + 1) % 3) + (j + 1) % 3, 3 * ((i + 2) % 3) + (j + 2) % 3,
+                   3 * ((i + 1) % 3) + (j + 2) % 3, 3 * ((i + 2) % 3) + (j + 1) % 3)
+                  for j in range(3) for i in range(3))
 
 
 class Mat3:
@@ -158,24 +168,11 @@ class Mat3:
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         a, b = self._match(other)
-        n = a.n
-        d = len(a.nums[0])
-        width = 2 * d - 1
-        an, bn = a.nums, b.nums
-        out = []
-        for i in (0, 3, 6):
-            for j in (0, 1, 2):
-                conv = [0] * width
-                for k in range(3):
-                    x = an[i + k]
-                    y = bn[3 * k + j]
-                    for p, xp in enumerate(x):
-                        if xp:
-                            for q, yq in enumerate(y):
-                                if yq:
-                                    conv[p + q] += xp * yq
-                out.append(reduce_power_coeffs(n, conv))
-        return Mat3(n, out, a.den * b.den)
+        n, an, bn = a.n, a.nums, b.nums
+        cols = (bn[0::3], bn[1::3], bn[2::3])
+        return Mat3(n, [dot(n, zip(row, col))
+                        for row in (an[0:3], an[3:6], an[6:9]) for col in cols],
+                    a.den * b.den)
 
     def __add__(self, other: "Mat3") -> "Mat3":
         a, b = self._match(other)
@@ -203,52 +200,40 @@ class Mat3:
     def trace_of_product(self, other: "Mat3") -> CycloNum:
         """Tr(self * other) without forming the product matrix."""
         a, b = self._match(other)
-        d = len(a.nums[0])
-        conv = [0] * (2 * d - 1)
-        for i in range(3):
-            for j in range(3):
-                x = a.nums[3 * i + j]
-                y = b.nums[3 * j + i]
-                for p, xp in enumerate(x):
-                    if xp:
-                        for q, yq in enumerate(y):
-                            if yq:
-                                conv[p + q] += xp * yq
-        return CycloNum(a.n, reduce_power_coeffs(a.n, conv), a.den * b.den)
+        bn = b.nums
+        return CycloNum(a.n, dot(a.n, zip(a.nums, bn[0::3] + bn[1::3] + bn[2::3])),
+                        a.den * b.den)
+
+    def _adjugate(self) -> List[list]:
+        """adj(N), the nine 2x2 minors of the numerators N: adj(M) = adj(N) / den^2."""
+        nums = self.nums
+        neg = [tuple(-c for c in e) for e in nums]
+        return [dot(self.n, ((nums[a], nums[d]), (neg[b], nums[c])))
+                for a, d, b, c in _ADJUGATE]
+
+    def _det_nums(self, adj: List[list]) -> list:
+        """det(N) = row 0 of N times column 0 of adj(N)."""
+        return dot(self.n, zip(self.nums[0:3], adj[0::3]))
 
     def det(self) -> CycloNum:
-        e = self.entries()
-        return (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-                - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-                + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+        return CycloNum(self.n, self._det_nums(self._adjugate()), self.den ** 3)
 
     def charpoly(self) -> Tuple[CycloNum, CycloNum, CycloNum, CycloNum]:
         """Coefficients (c0, c1, c2, c3) of det(z - M) = c3 z^3 + c2 z^2 + c1 z + c0."""
-        e = self.entries()
-        tr = e[0][0] + e[1][1] + e[2][2]
-        e2 = (e[0][0] * e[1][1] - e[0][1] * e[1][0]
-              + e[0][0] * e[2][2] - e[0][2] * e[2][0]
-              + e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        d = self.det()
-        one = CycloNum.one(1)
-        return (-d, e2, -tr, one)
+        adj = self._adjugate()
+        n, den = self.n, self.den
+        e2 = CycloNum(n, [x + y + z for x, y, z in zip(*adj[0::4])], den * den)  # tr adj(M)
+        d = CycloNum(n, self._det_nums(adj), den ** 3)
+        return (-d, e2, -self.trace(), CycloNum.one(1))
 
     def inverse(self) -> "Mat3":
-        d = self.det()
-        if d.is_zero():
+        """adj(N) den / det(N): one product per entry with the inverse of det(N) / den."""
+        adj = self._adjugate()
+        det = self._det_nums(adj)
+        if not any(det):
             raise SingularMatrixError("matrix is singular")
-        e = self.entries()
-        cof = [[e[1][1] * e[2][2] - e[1][2] * e[2][1],
-                e[0][2] * e[2][1] - e[0][1] * e[2][2],
-                e[0][1] * e[1][2] - e[0][2] * e[1][1]],
-               [e[1][2] * e[2][0] - e[1][0] * e[2][2],
-                e[0][0] * e[2][2] - e[0][2] * e[2][0],
-                e[0][2] * e[1][0] - e[0][0] * e[1][2]],
-               [e[1][0] * e[2][1] - e[1][1] * e[2][0],
-                e[0][1] * e[2][0] - e[0][0] * e[2][1],
-                e[0][0] * e[1][1] - e[0][1] * e[1][0]]]
-        dinv = d.inverse()
-        return Mat3.from_entries([[cof[i][j] * dinv for j in range(3)] for i in range(3)])
+        dinv = CycloNum(self.n, det, self.den).inverse()
+        return Mat3(self.n, [dot(self.n, ((e, dinv.nums),)) for e in adj], dinv.den)
 
     def __pow__(self, k: int) -> "Mat3":
         if k < 0:
@@ -263,14 +248,13 @@ class Mat3:
         return result
 
     def rank(self) -> int:
-        # Division-free via minors: cheap and exact for 3x3.
-        if not self.det().is_zero():
+        # Division-free via the adjugate, whose entries are the 2x2 minors.
+        adj = self._adjugate()
+        if any(self._det_nums(adj)):
             return 3
-        if not _minors_vanish(self.n, self.nums):
+        if any(map(any, adj)):
             return 2
-        if any(c for entry in self.nums for c in entry):
-            return 1
-        return 0
+        return 1 if any(map(any, self.nums)) else 0
 
     def order(self, bound: int = 10000) -> int:
         ident = Mat3.identity(self.n)
@@ -323,43 +307,20 @@ def row_map(m: Mat3) -> Callable[[tuple], tuple]:
     return apply
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-# entry indices (a, d, b, c) of each 2x2 minor ad - bc of a 3x3 matrix
-_MINORS = tuple((3 * r1 + c1, 3 * r2 + c2, 3 * r1 + c2, 3 * r2 + c1)
-                for r1, r2 in _PAIRS for c1, c2 in _PAIRS)
-
-
-def _minors_vanish(n: int, nums: Sequence[Sequence[int]]) -> bool:
-    """True if every 2x2 minor of the nine integer entries is zero in Q(zeta_n).
-
-    Stops at the first nonzero minor.  A common denominator of the entries
-    does not change which minors vanish, so only numerators are used.
-    """
-    width = 2 * len(nums[0]) - 1
-    for a, d, b, c in _MINORS:
-        conv = [0] * width
-        for sign, x, y in ((1, nums[a], nums[d]), (-1, nums[b], nums[c])):
-            for p, xp in enumerate(x):
-                if xp:
-                    xp *= sign
-                    for q, yq in enumerate(y):
-                        if yq:
-                            conv[p + q] += xp * yq
-        if any(reduce_power_coeffs(n, conv)):
-            return False
-    return True
-
-
 def is_pseudo_reflection(m: Mat3) -> Optional[CycloNum]:
     """The non-unit eigenvalue t if rank(M - I) = 1 and det(M) != 0, else None.
 
     If rank(M - I) = 1 then M = I + u v^T, whose eigenvalues are (1, 1, t)
     with t = 1 + v^T u = det M = tr M - 2.  So the test is: M - I is
-    nonzero, its nine 2x2 minors vanish, and t = tr M - 2 is nonzero; no
-    3x3 determinant and no rank() call.
+    nonzero, its adjugate vanishes, and t = tr M - 2 is nonzero.  Neither
+    matrix test needs M - I in lowest terms, so its numerators are M's with
+    den taken off the diagonal's constant coefficients.
     """
-    a = m - Mat3.identity(m.n)
-    if not any(c for entry in a.nums for c in entry) or not _minors_vanish(a.n, a.nums):
+    nums = list(m.nums)
+    for i in (0, 4, 8):
+        nums[i] = (nums[i][0] - m.den,) + nums[i][1:]
+    a = Mat3(m.n, nums, m.den, _normalized=True)
+    if not any(map(any, nums)) or any(map(any, a._adjugate())):
         return None
     t = m.trace() - 2
     return None if t.is_zero() else t

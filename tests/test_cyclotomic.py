@@ -1,11 +1,12 @@
+import cmath
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflpvi.cyclotomic import (CycloNum, NotRootOfUnityError,
-                                cyclotomic_polynomial, log_root_of_unity,
-                                root_of_unity)
+                                cyclotomic_polynomial, dot, euler_phi,
+                                log_root_of_unity, root_of_unity)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
 
@@ -169,6 +170,28 @@ def test_descent_direct_cases():
 def test_complex_embedding_is_ring_hom(a, b):
     assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-12
     assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-12
+
+
+@st.composite
+def dot_inputs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 15]))
+    count = draw(st.sampled_from([1, 3, 9]))
+    tup = st.lists(st.integers(min_value=-9, max_value=9),
+                   min_size=euler_phi(n), max_size=euler_phi(n)).map(tuple)
+    return n, draw(st.lists(st.tuples(tup, tup), min_size=count, max_size=count))
+
+
+@given(dot_inputs())
+@settings(max_examples=60, deadline=None)
+def test_dot_matches_complex_sum_of_products(case):
+    n, pairs = case
+    z = cmath.exp(2j * cmath.pi / n)
+
+    def value(coeffs):
+        return sum(c * z ** k for k, c in enumerate(coeffs))
+
+    expected = sum(value(x) * value(y) for x, y in pairs)
+    assert abs(CycloNum(n, dot(n, pairs)).to_complex() - expected) < 1e-9
 
 
 def test_serialization_round_trip():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reflpvi.cyclotomic import CycloNum, log_root_of_unity, root_of_unity
+from reflpvi.groups import GroupSpec, build_group
 from reflpvi.linalg3 import (Mat3, SingularMatrixError, Spectrum, SpectrumError,
                              finite_order_spectrum, is_pseudo_reflection)
 
@@ -121,3 +122,44 @@ def test_rank():
     assert Mat3.identity().rank() == 3
     assert Mat3.from_rationals([[1, 1, 1], [1, 1, 1], [1, 1, 1]]).rank() == 1
     assert Mat3.from_rationals([[1, 0, 0], [0, 1, 0], [1, 1, 0]]).rank() == 2
+
+
+def _cofactor_det_and_e2(m):
+    """det M and the sum of M's principal 2x2 minors, by cofactor expansion."""
+    e = m.entries()
+    det = (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+           - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+           + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+    e2 = (e[0][0] * e[1][1] - e[0][1] * e[1][0]
+          + e[0][0] * e[2][2] - e[0][2] * e[2][0]
+          + e[1][1] * e[2][2] - e[1][2] * e[2][1])
+    return det, e2
+
+
+@pytest.mark.parametrize("label, conductor", [("G(4,1,3)", 4), ("G336", 7), ("G2160", 15)])
+def test_adjugate_path_on_group_elements(label, conductor):
+    group = build_group(GroupSpec.parse(label))
+    ident = Mat3.identity(conductor)
+    rng = random.Random(2)
+    for g in rng.sample(list(group.elements), 10):
+        assert g.n == conductor
+        assert g * g.inverse() == ident
+        det, e2 = _cofactor_det_and_e2(g)
+        assert g.det() == det
+        assert g.charpoly() == (-det, e2, -g.trace(), CycloNum.one(1))
+        assert g.rank() == 3
+
+
+def test_rank_above_conductor_one():
+    z = root_of_unity(7)
+    one, zero = CycloNum.one(7), CycloNum.zero(7)
+    row = [z, one + z * z, z ** 3]
+    # row 2 = z * row 0 + 3 * row 1, with rows 0 and 1 independent
+    rank2 = Mat3.from_entries([row, [one, z, zero],
+                               [z * row[0] + 3, z * row[1] + 3 * z, z * row[2]]])
+    assert rank2.det().is_zero()
+    assert rank2.rank() == 2
+    with pytest.raises(SingularMatrixError):
+        rank2.inverse()
+    rank1 = Mat3.from_entries([[u * v for v in row] for u in (one, z + 2, z ** 5)])
+    assert rank1.rank() == 1

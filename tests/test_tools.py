@@ -1,5 +1,6 @@
 """The scripts under tools/, on inputs small enough for the suite."""
 
+import json
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -10,6 +11,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
 import bench_pairs  # noqa: E402
+import cli_snapshot  # noqa: E402
 import iso_snapshot  # noqa: E402
 
 
@@ -34,3 +36,23 @@ def test_iso_snapshot_records_a_refused_sample():
     op = iso_snapshot.snapshot_op(lm, 5)
     assert op["verdict"] == "degenerate_sample"
     assert op["degenerate"].startswith("B4 has no eigenbasis")
+
+
+def test_cli_snapshot_writes_output_and_status_per_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_snapshot, "COMMANDS", [
+        ("groups-list", ["groups", "list"]),
+        ("groups-info-G2-2-3", ["groups", "info", "--spec", "G(2,2,3)"])])
+    assert cli_snapshot.main([str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "groups-info-G2-2-3.json", "groups-info-G2-2-3.status",
+        "groups-list.json", "groups-list.status"]
+    for name in ("groups-list", "groups-info-G2-2-3"):
+        assert (tmp_path / f"{name}.status").read_text() == "0\n"
+    info = json.loads((tmp_path / "groups-info-G2-2-3.json").read_text())
+    assert (info["spec"], info["order"], info["reflections"]) == ("G(2,2,3)", 24, 6)
+    assert "G336" in json.loads((tmp_path / "groups-list.json").read_text())["groups"]
+
+
+def test_cli_snapshot_needs_one_output_directory(capsys):
+    assert cli_snapshot.main([]) == 2
+    assert "usage" in capsys.readouterr().err
