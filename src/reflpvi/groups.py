@@ -3,23 +3,23 @@ complex reflection groups.
 
 Covered: the two imprimitive families G(m,1,3) and G(m,m,3) for m >= 2,
 the icosahedral Coxeter group H3, and the four exceptional groups of
-orders 336, 648, 1296 and 2160.  Exceptional generators come from the
-classical models (symmetries of the Klein quartic, of the Hesse pencil,
-and H3's Coxeter triple plus one reflection for Valentiner's group); every
-construction is validated at build time against the known order, degree
-table and reflection count, so a transcription slip cannot survive.
+orders 336, 648, 1296 and 2160.  Every group is the closure of its
+standard triple of reflections.  An exceptional triple is built from its
+Cartan matrix a_ij = alpha_i(e_j) (`_cartan_triple`), which fixes the
+triple up to conjugacy, so the group comes out in the basis of the
+triple's root vectors.  Every construction is validated at build time by
+its order, its reflection count and the spectrum of the product r1 r2 r3,
+so a transcription slip cannot survive.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .cyclotomic import (CycloNum, _normalize, euler_phi, log_root_of_unity,
-                         root_of_unity)
+from .cyclotomic import CycloNum, _normalize, euler_phi, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, row_map
 
 
@@ -259,79 +259,45 @@ def _imprimitive_standard_triple(m: int, p: int) -> List[Mat3]:
     return [p12, p23, diag]
 
 
-def _icosahedral_standard_triple() -> List[Mat3]:
-    # Coxeter generators for H3 on the simple-root basis; golden ratio
-    # tau = (1 + sqrt 5)/2 = -zeta5^2 - zeta5^3.
-    z = root_of_unity(5, 1)
-    tau = -(z ** 2) - (z ** 3)
-    one = CycloNum.one(1)
-    zero = CycloNum.zero(1)
-    m1 = Mat3.from_entries([[-one, tau, zero], [zero, one, zero], [zero, zero, one]])
-    m2 = Mat3.from_entries([[one, zero, zero], [tau, -one, one], [zero, zero, one]])
-    m3 = Mat3.from_entries([[one, zero, zero], [zero, one, zero], [zero, one, -one]])
-    return [m1, m2, m3]
+def _cartan_triple(a: Sequence[Sequence]) -> List[Mat3]:
+    """The reflections r_i = I + E_i a of the 3x3 matrix a_ij = alpha_i(e_j).
 
-
-def _klein_generating_set() -> List[Mat3]:
-    """Order-336 symmetry group of the Klein quartic, extended by -1.
-
-    Generated by the diagonal order-7 element diag(zeta7, zeta7^4, zeta7^2),
-    the coordinate 3-cycle, and the negative of the classical involution h
-    with h^2 = 1 built from zeta7^k - zeta7^(-k) over sqrt(-7).
+    E_i is the matrix unit at (i, i): row i of r_i is e_i plus row i of a,
+    and its other rows are the identity's.  On column vectors this is
+    r_i = 1 + e_i (x) alpha_i with alpha_i the row i of a, the form in
+    which `braid.py` reads the fingerprint (t_i = 1 + a_ii, w = a12 a21,
+    ..., q = a13 a32 a21) off a; the matrix fixes the triple up to
+    conjugacy.  All three are lifted to the lcm conductor of a's entries.
     """
-    z = root_of_unity(7, 1)
-    sqrt_m7 = 1 + 2 * (z + z ** 2 + z ** 4)      # Gauss sum for conductor 7
-    assert sqrt_m7 * sqrt_m7 == CycloNum.from_rational(-7)
-    a = {k: z ** k - z ** (7 - k) for k in (1, 2, 4)}
-    scale = sqrt_m7 * Fraction(1, 7)             # equals -1/sqrt(-7)
-    rows = [[a[1], a[2], a[4]], [a[2], a[4], a[1]], [a[4], a[1], a[2]]]
-    h = Mat3.from_entries([[rows[i][j] * scale for j in range(3)] for i in range(3)])
-    if h * h != Mat3.identity(1):
-        raise GroupValidationError("Klein involution failed h^2 = 1")
-    sigma = Mat3.diag(z, z ** 4, z ** 2)
-    return [sigma, Mat3.permutation([1, 2, 0]), -h]
+    one, zero = CycloNum.one(1), CycloNum.zero(1)
+    triple = []
+    for i in range(3):
+        rows = [[one if j == k else zero for k in range(3)] for j in range(3)]
+        rows[i] = [e + a_ik for e, a_ik in zip(rows[i], a[i])]
+        triple.append(Mat3.from_entries(rows))
+    n = lcm(*(r.n for r in triple))
+    return [r.lift(n) for r in triple]
 
 
-def _hessian_generating_set(extended: bool) -> List[Mat3]:
-    """The order-648 Hesse-pencil group, or its order-1296 extension."""
-    w = root_of_unity(3, 1)
-    one = CycloNum.one(1)
-    a = Mat3.diag(one, w, w ** 2)
-    b = Mat3.permutation([1, 2, 0])
-    d = Mat3.diag(one, one, w)
-    scale = -(2 * w + 1) * Fraction(1, 3)        # 1/sqrt(-3)
-    v_rows = [[one, one, one], [one, w, w ** 2], [one, w ** 2, w]]
-    v = Mat3.from_entries([[v_rows[i][j] * scale for j in range(3)] for i in range(3)])
-    gens = [a, b, d, v]
-    if extended:
-        gens.append(Mat3.permutation([0, 2, 1]))
-    return gens
-
-
-# -- Valentiner (order 2160) -------------------------------------------------
-
-def _valentiner_generating_set() -> List[Mat3]:
-    """Valentiner's group: H3's Coxeter triple and one reflection outside H3.
-
-    The added r = I + u v^T (v^T u = -2, so r^2 = 1) is the first of the
-    group's 45 reflections, in `Mat3.key()` order, not in H3 = A5 x {+-1}.
-    Any *reflection* outside H3 generates G2160 = {+-1} x 3.A6 with H3; an
-    arbitrary element need not (omega I with H3 generates only 360).  H3's
-    traces are real, so a reflection outside H3 (trace 1) is not a
-    mu3-multiple of an H3 element, and its image in G2160/Z = A6 lies
-    outside H3's image A5.  A5 is maximal in A6, and 3.A6 is a perfect,
-    non-split cover, so the generated subgroup, which contains -1 and maps
-    onto A6, is the whole group.
-    """
+def _exceptional_cartan_matrix(name: str) -> List[list]:
+    """The matrix a_ij = alpha_i(e_j) of the exceptional group's standard triple."""
+    if name == "icosahedral":
+        z = root_of_unity(5, 1)
+        tau = -(z ** 2) - z ** 3                  # the golden ratio (1 + sqrt 5)/2
+        return [[-2, tau, 0], [tau, -2, 1], [0, 1, -2]]
+    if name == "G336":
+        z = root_of_unity(7, 1)
+        alpha = z + z ** 2 + z ** 4               # (-1 + sqrt -7)/2
+        return [[-2, 1, (-3 - alpha) / 4], [2, -2, 1], [alpha - 2, 2, -2]]
+    if name in ("G648", "G1296"):
+        w = root_of_unity(3, 1)
+        s = w ** 2 - 1
+        if name == "G648":
+            return [[s, 0, 1], [0, s, 1], [-(w ** 2), -(w ** 2), s]]
+        return [[-2, 1, -1], [2 + w, s, 1], [-2 - w, -(w ** 2), s]]
     z = root_of_unity(15, 1)
-    one = CycloNum.one(1)
-    c = z + z ** 4
-    u = (2 - z - 2 * z ** 2 + 2 * z ** 3 - z ** 4 + z ** 5 - 2 * z ** 7, 2 * one, one)
-    v = (-c, (c + z ** 5) * Fraction(1, 2), CycloNum.zero(1))
-    r = Mat3.identity(1) + Mat3.from_entries([[a * b for b in v] for a in u])
-    if is_pseudo_reflection(r) is None or r * r != Mat3.identity(1):
-        raise GroupValidationError("Valentiner generator is not an order-2 reflection")
-    return _icosahedral_standard_triple() + [r]
+    return [[-2, 1, (-1 - z - z ** 4) / 2], [1, -2, 1],
+            [-2 + z + z ** 2 - z ** 3 + z ** 4 + z ** 7, 2, -2]]
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +394,13 @@ class _Cayley:
         The breadth-first walk steps x -> x idx[m] along the generator
         columns of words[idx[m]], touching only the subgroup: a full
         `column` per generator costs |G| lookups a letter, more than the
-        walk when the subgroup is small.
+        walk when the subgroup is small.  A proper subgroup has at most
+        |G|/2 elements (Lagrange), so once the walk has seen more, the
+        subgroup is the whole group.
         """
         right = self.right
         words = [self.words[i] for i in idx]
+        half = len(self) // 2
         seen = {0}
         frontier = [0]
         while frontier:
@@ -442,6 +411,8 @@ class _Cayley:
                     for g in word:
                         y = right[g][y]
                     if y not in seen:
+                        if len(seen) == half:
+                            return len(self)
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
@@ -531,89 +502,25 @@ def reflections_of(elements: Sequence[Mat3]) -> List[Mat3]:
     return found
 
 
-def _standard_triple_exceptional(spec: GroupSpec, cayley: _Cayley,
-                                 refl_idx: List[int]) -> Tuple[int, int, int]:
-    """Find a generating triple whose product is a regular element realizing
-    the exponent spectrum mu_i = (d_i - 1)/d_3; ordered with lambda ascending."""
-    d1, d2, d3 = spec.degrees()
-    h = d3
-    exps = (d1 - 1, d2 - 1, d3 - 1)
-    zpow = [root_of_unity(h, k) for k in range(h)]
-    e1t = zpow[exps[0]] + zpow[exps[1]] + zpow[exps[2]]
-    e2t = (zpow[exps[0]] * zpow[exps[1]] + zpow[exps[0]] * zpow[exps[2]]
-           + zpow[exps[1]] * zpow[exps[2]])
-    e3t = zpow[sum(exps) % h]
-    dets, traces = cayley.dets, cayley.traces
-
-    # group reflections into conjugacy classes, each in key order (that of
-    # refl_idx), not in the closure's element order
-    position = {i: p for p, i in enumerate(refl_idx)}
-    classes: List[List[int]] = []
-    assigned = set()
-    for i in refl_idx:
-        if i in assigned:
-            continue
-        cls = cayley.conjugacy_class(i)
-        classes.append(sorted(cls, key=position.__getitem__))
-        assigned |= cls
-
-    def lam(i):
-        return log_root_of_unity(dets[i])
-
-    classes.sort(key=lambda cls: lam(cls[0]))
-    candidates = []
-    for c1 in classes:
-        for c2 in classes:
-            for c3 in classes:
-                if lam(c1[0]) <= lam(c2[0]) <= lam(c3[0]):
-                    if dets[c1[0]] * dets[c2[0]] * dets[c3[0]] == e3t:
-                        candidates.append((c1, c2, c3))
-    # scan class tuples with the largest lambda signature first; when two
-    # det-orientations both admit a regular triple this picks the one whose
-    # theta tuple matches the published parameter table
-    candidates.sort(key=lambda t: (lam(t[0][0]), lam(t[1][0]), lam(t[2][0])),
-                    reverse=True)
-    for c1, c2, c3 in candidates:
-        i1 = c1[0]                    # conjugation lets the first slot be fixed
-        for ia in c2:
-            pa = cayley.product(i1, ia)
-            for ib in c3:
-                m = cayley.product(pa, ib)
-                if traces[m] != e1t:
-                    continue
-                # det(m) = e3t already, so the characteristic polynomial
-                # matches once e2(m) = det(m) tr(m^-1) does
-                if dets[m] * traces[cayley.inverse(m)] != e2t:
-                    continue
-                if cayley.generated_order((i1, ia, ib)) == spec.expected_order():
-                    return (i1, ia, ib)
-    raise GroupValidationError(
-        f"no standard generating triple found for {spec.label()}")
-
-
 def _generating_set(spec: GroupSpec) -> List[Mat3]:
-    """The generating set whose closure is the group."""
+    """The standard triple, whose closure is the group."""
     if spec.kind == "imprimitive":
         return _imprimitive_standard_triple(spec.m, spec.p)
-    if spec.name == "icosahedral":
-        return _icosahedral_standard_triple()
-    if spec.name == "G336":
-        return _klein_generating_set()
-    if spec.name in ("G648", "G1296"):
-        return _hessian_generating_set(extended=spec.name == "G1296")
-    return _valentiner_generating_set()
+    return _cartan_triple(_exceptional_cartan_matrix(spec.name))
 
 
 def build_group(spec: GroupSpec) -> ReflectionGroup:
     """Construct, enumerate and validate a reflection group.
 
-    The group is the closure of its one generating set: the standard
-    triple of an imprimitive group or H3, the Klein-quartic set, the
-    Hesse-pencil set, or H3's triple plus one reflection outside H3 for
-    Valentiner's group.  A closure that overruns or
-    falls short of the expected order raises GroupValidationError.  That
-    closure is the only one made; every later step works on its Cayley
-    graph.
+    The group is the closure of its standard triple of reflections: the
+    permutation and diagonal reflections of an imprimitive group, or
+    `_cartan_triple` of an exceptional group's matrix a_ij = alpha_i(e_j).
+    The closure is the only one made; every later step works on its Cayley
+    graph.  GroupValidationError, naming the spec, is raised unless the
+    three generators are reflections, the closure has the expected order
+    (an overrun stops it), the group has sum(d_i - 1) reflections, and the
+    product r1 r2 r3 has the eigenvalues zeta_h^(d_i - 1) of a regular
+    element, h = d3 the largest degree.
 
     The closure (`_close`) walks the exact orbit of the row vector e1
     (then e2, e3 if needed) until it spans, so the group acts faithfully on
@@ -624,9 +531,11 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
-    gens = _generating_set(spec)
+    triple = tuple(_generating_set(spec))
+    if any(is_pseudo_reflection(r) is None for r in triple):
+        raise GroupValidationError(f"{spec.label()}: generators are not all reflections")
     try:
-        cayley = _close(gens, bound=expected)
+        cayley = _close(triple, bound=expected)
     except ClosureBoundError:
         raise GroupValidationError(
             f"{spec.label()}: generating set overruns order {expected}") from None
@@ -655,16 +564,19 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     where = {g.key(): i for g, i in zip(matrices, candidates)}
     refl_idx = [where[r.key()] for r in refl]
 
-    if spec.kind == "imprimitive" or spec.name == "icosahedral":
-        # the closure was made from this triple, so it generates the group
-        triple = tuple(gens)
-        for r in triple:
-            if is_pseudo_reflection(r) is None:
-                raise GroupValidationError(f"{spec.label()}: generator is not a reflection")
-    else:
-        by_index = dict(zip(refl_idx, refl))
-        triple = tuple(by_index[i]
-                       for i in _standard_triple_exceptional(spec, cayley, refl_idx))
+    # element 0 is the identity and right[g] multiplies by generator g, so
+    # the product walks three columns; det(m), tr(m) and e2(m) = det(m)
+    # tr(m^-1) give its characteristic polynomial
+    m = 0
+    for col in cayley.right:
+        m = col[m]
+    z1, z2, z3 = (root_of_unity(d3, d - 1) for d in degrees)
+    det = cayley.dets[m]
+    if (cayley.traces[m] != z1 + z2 + z3 or det != z1 * z2 * z3
+            or det * cayley.traces[cayley.inverse(m)] != z1 * z2 + z1 * z3 + z2 * z3):
+        raise GroupValidationError(
+            f"{spec.label()}: r1 r2 r3 does not have the eigenvalues "
+            f"zeta_{d3}^(d_i - 1) of the degrees {degrees}")
 
     return ReflectionGroup(
         spec=spec,

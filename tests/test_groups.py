@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from reflpvi.cyclotomic import (CycloNum, cyclotomic_polynomial, log_root_of_unity,
                                 root_of_unity)
-from reflpvi.fingerprints import classify_triples
+from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
 from reflpvi import groups
 from reflpvi.groups import (ClosureBoundError, GroupSpec, GroupValidationError, _close,
                             _generating_set, build_group, enumerate_elements,
@@ -139,19 +139,68 @@ def test_index_core_matches_exact_arithmetic(g213, g333, icosa, g336):
 
 
 def test_exceptional_standard_triples_are_pinned():
-    # the standard-triple search scans each reflection class in key order,
-    # so its result does not depend on how the closure numbers elements
-    pins = {"G336": "a289f9c5bf6ab018", "G648": "eb9ee5a52cc707bf",
-            "G1296": "d6efe968f4e12ba4", "G2160": "05e6b39fd69fc024"}
-    # the key-sorted reflections pin the construction of each group
-    reflection_pins = {"G336": "278406256a7692fe", "G648": "74c0ef659fa75718",
-                       "G1296": "cbceb69d07c119ff", "G2160": "2234bb3625bdbb73"}
+    # the generators are the Cartan triple of each group, so the group is
+    # built in the basis of the triple's root vectors
+    pins = {"G336": "8ddaed58f7ff900f", "G648": "b93351cfcc532202",
+            "G1296": "3d3d54341bb4e27e", "G2160": "cc57c7e7283806c4"}
+    # the key-sorted reflections pin that basis
+    reflection_pins = {"G336": "ab759a00d136cdd3", "G648": "f53ee71d3f5d4d59",
+                       "G1296": "913356fef60307d2", "G2160": "c52819bf47e0c95d"}
     for name, digest in pins.items():
         group = build_group(GroupSpec.exceptional(name))
         keys = [r.key() for r in group.generators]
         assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == digest, name
         keys = [r.key() for r in group.reflections]
         assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == reflection_pins[name], name
+
+
+def _exceptional_fingerprints():
+    z5, z7, w, z = (root_of_unity(n) for n in (5, 7, 3, 15))
+    tau2 = 1 - z5 ** 2 - z5 ** 3                  # the golden ratio squared
+    alpha = z7 + z7 ** 2 + z7 ** 4
+    w2 = w ** 2
+    return {  # t1, t2, t3, w, x, y, p, q
+        "icosahedral": (-1, -1, -1, tau2, 0, 1, 0, 0),
+        "G336": (-1, -1, -1, 2, 2, 2, alpha - 2, -3 - alpha),
+        "G648": (w2, w2, w2, 0, -w2, -w2, 0, 0),
+        "G1296": (-1, w2, w2, 2 + w, 2 + w, -w2, -2 - w, -1 - 2 * w),
+        "G2160": (-1, -1, -1, 1, tau2, 2, -2 + z + z ** 2 - z ** 3 + z ** 4 + z ** 7,
+                  -1 - z - z ** 4),
+    }
+
+
+@pytest.mark.parametrize("name", ["icosahedral", "G336", "G648", "G1296", "G2160"])
+def test_exceptional_triples_keep_their_fingerprint(name):
+    # the fingerprint fixes a triple up to simultaneous conjugation, so this
+    # pin holds in any basis the group is built in
+    expected = Fingerprint(*(v if isinstance(v, CycloNum) else CycloNum.from_rational(v)
+                             for v in _exceptional_fingerprints()[name]))
+    group = build_group(GroupSpec.exceptional(name))
+    assert fingerprint(list(group.generators)).key() == expected.key()
+
+
+def test_product_spectrum_is_checked(monkeypatch):
+    # the mirror of G336's matrix swaps p and q: it closes to order 336 with
+    # 21 reflections, but r1 r2 r3 has exponents (1/14, 9/14, 11/14), not
+    # the (3/14, 5/14, 13/14) of the degrees (4, 6, 14)
+    z = root_of_unity(7)
+    alpha = z + z ** 2 + z ** 4
+    mirror = groups._cartan_triple([[-2, 1, (alpha - 2) / 4], [2, -2, 1],
+                                    [-3 - alpha, 2, -2]])
+    elements = enumerate_elements(mirror)
+    assert (len(elements), len(reflections_of(elements))) == (336, 21)
+    monkeypatch.setattr(groups, "_generating_set", lambda spec: mirror)
+    with pytest.raises(GroupValidationError, match=re.escape("G336: r1 r2 r3")):
+        build_group(GroupSpec.exceptional("G336"))
+
+
+def test_cartan_triple_has_the_braid_invariants():
+    a = [[Fraction(-3, 2), 2, Fraction(1, 3)], [5, Fraction(1, 2), -1], [Fraction(-2, 7), 3, 4]]
+    fp = fingerprint(groups._cartan_triple(a))
+    expected = (1 + a[0][0], 1 + a[1][1], 1 + a[2][2], a[0][1] * a[1][0],
+                a[0][2] * a[2][0], a[1][2] * a[2][1], a[0][1] * a[1][2] * a[2][0],
+                a[0][2] * a[2][1] * a[1][0])
+    assert fp.key() == Fingerprint(*map(CycloNum.from_rational, expected)).key()
 
 
 @pytest.mark.parametrize("label, other", [("G(3,1,3)", "G(2,1,3)"),   # closes to 48 < 162
@@ -164,15 +213,12 @@ def test_wrong_generating_set_is_refused(monkeypatch, label, other):
         build_group(GroupSpec.parse(label))
 
 
-def test_valentiner_reflection_is_the_first_outside_h3():
-    gens = _generating_set(GroupSpec.exceptional("G2160"))
-    triple = groups._icosahedral_standard_triple()
-    assert len(gens) == 4 and gens[:3] == triple
-    group = build_group(GroupSpec.exceptional("G2160"))
-    h3 = _close(triple, 120)
-    inside = {group.index_of(h3.element(i)) for i in range(len(h3))}
-    assert gens[3] == next(r for r in group.reflections
-                           if group.index_of(r) not in inside)
+def test_non_reflection_generator_is_refused(monkeypatch):
+    cycle = [Mat3.permutation([1, 0, 2]), Mat3.permutation([1, 2, 0]),
+             Mat3.permutation([0, 2, 1])]
+    monkeypatch.setattr(groups, "_generating_set", lambda spec: cycle)
+    with pytest.raises(GroupValidationError, match=re.escape("G(2,2,3): generators")):
+        build_group(GroupSpec.parse("G(2,2,3)"))
 
 
 def test_index_of_at_a_multiple_of_the_conductor(g336):

@@ -35,6 +35,11 @@ COMMANDS = (
     + [("params-table", ["params", "table"]),
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
+       ("triples-G1296", ["triples", "classify", "--spec", "G1296"]),
+       ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"]),
+       ("params-theta-G648", ["params", "theta", "--spec", "G648"]),
+       ("params-theta-G1296", ["params", "theta", "--spec", "G1296"]),
+       ("params-theta-G2160", ["params", "theta", "--spec", "G2160"]),
        ("orbits-G648", ["orbits", "--spec", "G648"]),
        ("orbits-G336-fix-first", ["orbits", "--spec", "G336", "--fix-first"]),
        ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
