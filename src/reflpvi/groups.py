@@ -17,10 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import lcm
+from operator import add
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .cyclotomic import CycloNum, _normalize, euler_phi, root_of_unity
-from .linalg3 import Mat3, is_pseudo_reflection, row_map
+from .cyclotomic import CycloNum, euler_phi, root_of_unity
+from .linalg3 import Mat3, is_pseudo_reflection, row_map, unit_rows
 
 
 class ClosureBoundError(RuntimeError):
@@ -114,8 +115,7 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     Returns S, its index (vector -> position), perms with perms[g][s] the
     index in S of S[s] g, and the indices in S of three independent vectors.
     """
-    d = euler_phi(n)
-    zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+    zero = (0,) * euler_phi(n)
     index: Dict[tuple, int] = {}
     vectors: List[tuple] = []        # S in discovery order, doubling as the BFS queue
     perms: List[List[int]] = [[] for _ in gens]
@@ -130,10 +130,9 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
 
     maps = [row_map(g) for g in gens]
     s = 0                            # the next vector of S to move
-    for k in range(3):
+    for seed in unit_rows(n):
         if len(basis) == 3:
             break
-        seed = (1, tuple(one if j == k else zero for j in range(3)))
         if seed in index:
             continue
         start = index[seed] = len(vectors)
@@ -169,7 +168,8 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     multiplied once, in a table local to the call.  A trace is read off
     the key (a, b, c) as tr((B x) B^-1), the sum of entries 0, 1, 2 of
     S[a], S[b], S[c] times B^-1 (one `row_map` of B^-1 for all of S),
-    taken on integer coefficients over one common denominator, with one
+    summed as integer tuples over one denominator common to all of S B^-1
+    (no per-element rescaling or gcd), and the raw sum is the key of one
     CycloNum per distinct trace.  More than `bound` elements raise
     ClosureBoundError.
     """
@@ -209,17 +209,16 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     basis_inv = Mat3.from_rows(n, [vectors[s] for s in basis]).inverse()
     times_basis_inv = row_map(basis_inv)
     rows = [times_basis_inv(v) for v in vectors]   # S[s] B^-1, as integers
+    den = lcm(*(d for d, _ in rows))
+    # entry j of every S[s] B^-1, over the one denominator den
+    d0, d1, d2 = ([tuple(c * (den // d) for c in e[j]) for d, e in rows] for j in range(3))
     traces = []
     distinct: Dict[tuple, CycloNum] = {}
     for a, b, c in keys:
-        (da, ea), (db, eb), (dc, ec) = rows[a], rows[b], rows[c]
-        den = lcm(da, db, dc)
-        ka, kb, kc = den // da, den // db, den // dc
-        key = _normalize([x * ka + y * kb + z * kc
-                          for x, y, z in zip(ea[0], eb[1], ec[2])], den)
-        trace = distinct.get(key)
+        raw = tuple(map(add, map(add, d0[a], d1[b]), d2[c]))
+        trace = distinct.get(raw)
         if trace is None:
-            trace = distinct[key] = CycloNum(n, *key, _normalized=True)
+            trace = distinct[raw] = CycloNum(n, raw, den)
         traces.append(trace)
     return _Cayley(
         n=n, vectors=tuple(vectors), vector_index=vector_index, basis=basis,
@@ -455,9 +454,6 @@ class ReflectionGroup:
                                  for b in c.basis)]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
-
-    def identity_index(self) -> int:
-        return 0
 
     def product_index(self, i: int, j: int) -> int:
         return self.cayley.product(i, j)

@@ -114,7 +114,7 @@ def _bucketed(group, firsts):
     out = []
     for key in sorted(buckets):
         idx, count = buckets[key]
-        seen = {group.identity_index()}
+        seen = {0}                          # element 0 is the identity
         frontier = list(seen)
         while frontier:
             frontier = [y for y in {group.product_index(x, g) for x in frontier for g in idx}

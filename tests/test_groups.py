@@ -240,13 +240,18 @@ def table1_groups():
 
 
 def test_row_map_matches_the_matrix_product(table1_groups):
-    # every closure generator and B^-1 of these groups, on every vector of S
+    # every closure generator and B^-1 of these groups, and a matrix whose
+    # coefficients are all nonzero, on every vector of S
     dens = set()
+    rng = random.Random(3)
     for label in ("G(4,1,3)", "G336", "G648", "G2160"):
         c = table1_groups[label].cayley
-        zero = (1, ((0,) * len(c.vectors[0][1][0]),) * 3)
+        d = len(c.vectors[0][1][0])
+        zero = (1, ((0,) * d,) * 3)
         mats = [g.lift(c.n) for g in _generating_set(GroupSpec.parse(label))]
-        for m in mats + [c.basis_inv]:
+        dense = Mat3(c.n, [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)]
+                           for _ in range(9)], 5)
+        for m in mats + [c.basis_inv, dense]:
             dens.add(m.den)
             apply = row_map(m)
             for row in c.vectors:

@@ -110,6 +110,50 @@ def test_spectrum_sum_matches_det(g336):
         assert total - det_log == int(total - det_log)
 
 
+def _order_by_index(cayley, i):
+    # the least k with x^k = 1, stepping x -> x i in the Cayley graph
+    x, k = i, 1
+    while x:
+        x, k = cayley.product(x, i), k + 1
+    return k
+
+
+def test_order_matches_the_cayley_graph():
+    g313 = build_group(GroupSpec.parse("G(3,1,3)"))
+    c = g313.cayley
+    assert [c.element(i).order(100) for i in range(len(c))] == \
+        [_order_by_index(c, i) for i in range(len(c))]
+    c = build_group(GroupSpec.parse("G2160")).cayley
+    for i in random.Random(7).sample(range(len(c)), 50):
+        assert c.element(i).order(100) == _order_by_index(c, i)
+
+
+def test_order_raises_past_its_bound():
+    one = CycloNum.one(1)
+    z7 = Mat3.diag(root_of_unity(7), one, one)
+    assert z7.order(7) == 7
+    with pytest.raises(ValueError, match="exceeds bound 6"):
+        z7.order(6)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        Mat3.from_rationals([[1, 0, 0], [0, 1, 0], [0, 0, 0]]).order(50)
+
+
+@pytest.mark.parametrize("label, order, conductor", [("G(5,1,3)", 15, 5), ("G2160", 30, 15)])
+def test_spectrum_at_an_order_beyond_the_conductor(label, order, conductor):
+    # lcm(order, n) != n: the candidate roots of unity live above the
+    # matrix's field, and the exponents are still the published mu
+    group = build_group(GroupSpec.parse(label))
+    r1, r2, r3 = group.generators
+    prod = r1 * r2 * r3
+    assert (prod.order(1000), prod.n) == (order, conductor)
+    expected = [Fraction(d - 1, group.degrees[2]) for d in group.degrees]
+    assert list(finite_order_spectrum(prod, order)) == expected
+    # any multiple of the order is accepted with the same exponents
+    assert list(finite_order_spectrum(prod, 2 * order)) == expected
+    with pytest.raises(SpectrumError, match="claimed order"):
+        finite_order_spectrum(prod, order - 1)
+
+
 def test_spectrum_type_validation():
     with pytest.raises(ValueError):
         Spectrum([Fraction(1, 2), Fraction(0)])

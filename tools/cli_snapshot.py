@@ -32,14 +32,12 @@ def _name(spec: str) -> str:
 
 COMMANDS = (
     [(f"groups-info-{_name(s)}", ["groups", "info", "--spec", s]) for s in SPECS]
+    + [(f"params-theta-{_name(s)}", ["params", "theta", "--spec", s]) for s in SPECS]
     + [("params-table", ["params", "table"]),
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
        ("triples-G1296", ["triples", "classify", "--spec", "G1296"]),
        ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"]),
-       ("params-theta-G648", ["params", "theta", "--spec", "G648"]),
-       ("params-theta-G1296", ["params", "theta", "--spec", "G1296"]),
-       ("params-theta-G2160", ["params", "theta", "--spec", "G2160"]),
        ("orbits-G648", ["orbits", "--spec", "G648"]),
        ("orbits-G336-fix-first", ["orbits", "--spec", "G336", "--fix-first"]),
        ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
