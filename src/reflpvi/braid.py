@@ -51,20 +51,6 @@ class GenusError(ValueError):
     pass
 
 
-def reduce_word(word: Sequence[str]) -> Tuple[str, ...]:
-    """Free reduction: cancel adjacent inverse pairs."""
-    inverse = {"b1": "b1i", "b1i": "b1", "b2": "b2i", "b2i": "b2"}
-    out: List[str] = []
-    for letter in word:
-        if letter not in LETTERS:
-            raise ValueError(f"unknown braid letter {letter!r}")
-        if out and out[-1] == inverse[letter]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def braid_act(letter: str, triple: Sequence[Mat3]) -> Tuple[Mat3, Mat3, Mat3]:
     r1, r2, r3 = triple
     if letter == "b1":

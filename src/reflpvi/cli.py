@@ -120,6 +120,10 @@ def cmd_triples(args) -> int:
 
 def cmd_orbits(args) -> int:
     group = _group(args)
+    if args.fix_first and not group.reflections_single_class:
+        # braid moves then carry a triple out of the classes found with r1 fixed
+        raise ValueError(f"{group.spec.label()}: --fix-first needs the reflections to "
+                         "form one conjugacy class, and they form more than one")
     first = group.generators[0] if args.fix_first else None
     classes = classify_triples(group, first_fixed=first)
     partition = orbit_partition(classes)

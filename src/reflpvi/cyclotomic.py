@@ -357,10 +357,6 @@ class CycloNum:
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "CycloNum":
-        return CycloNum.from_fractions(d["conductor"], [Fraction(s) for s in d["coeffs"]])
-
     # -- arithmetic ------------------------------------------------------
 
     def _match(self, other) -> Tuple["CycloNum", "CycloNum"]:

@@ -20,7 +20,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .cyclotomic import CycloNum, euler_phi, root_of_unity
+from .cyclotomic import CycloNum, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, row_map, unit_rows
 
 
@@ -105,39 +105,26 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     """The generated group G as permutations of a finite set of row vectors.
 
     The generators are at conductor n, each compiled once by `row_map`.
-    Walks the exact orbit of the row vector e1 under v -> v g, then those
-    of e2 and e3 (skipping a seed already seen), until the vectors found
-    span K^3.  A finite set S with S g in S for every generator g is
-    permuted by each g, so G acts on S; S spans, so the action is faithful
-    and G is finite.  One orbit has at most |G| vectors, so an orbit of
-    more than `bound` vectors raises ClosureBoundError.
+    Walks the exact orbits of the row vectors e1, e2 and e3 under
+    v -> v g, skipping a seed already seen, so each orbit is a contiguous
+    run of S.  A finite set S with S g in S for every generator g is
+    permuted by each g, so G acts on S; S holds the rows e_k x of every
+    element x, so the action is faithful and G is finite.  One orbit has
+    at most |G| vectors, so an orbit of more than `bound` vectors raises
+    ClosureBoundError.
 
-    Returns S, its index (vector -> position), perms with perms[g][s] the
-    index in S of S[s] g, and the indices in S of three independent vectors.
+    Returns S, its index (vector -> position) and perms, with perms[g][s]
+    the index in S of S[s] g.
     """
-    zero = (0,) * euler_phi(n)
     index: Dict[tuple, int] = {}
     vectors: List[tuple] = []        # S in discovery order, doubling as the BFS queue
     perms: List[List[int]] = [[] for _ in gens]
-    basis: List[int] = []
-
-    def note(i: int) -> None:
-        # keep S[i] if it is independent of the vectors kept so far
-        rows = [vectors[b] for b in basis] + [vectors[i]]
-        rows += [(1, (zero,) * 3)] * (3 - len(rows))
-        if Mat3.from_rows(n, rows).rank() > len(basis):
-            basis.append(i)
-
     maps = [row_map(g) for g in gens]
-    s = 0                            # the next vector of S to move
     for seed in unit_rows(n):
-        if len(basis) == 3:
-            break
         if seed in index:
             continue
-        start = index[seed] = len(vectors)
+        start = s = index[seed] = len(vectors)
         vectors.append(seed)
-        note(start)
         while s < len(vectors):
             for times_g, perm in zip(maps, perms):
                 w = times_g(vectors[s])
@@ -148,30 +135,26 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
                             f"an orbit exceeded safety bound {bound}")
                     t = index[w] = len(vectors)
                     vectors.append(w)
-                    if len(basis) < 3:
-                        note(t)
                 perm.append(t)
             s += 1
-    return vectors, index, perms, tuple(basis)
+    return vectors, index, perms
 
 
 def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     """Breadth-first closure of a generating set, kept as its Cayley graph.
 
-    The search runs on the permutation action of `_row_action`.  With B
-    the matrix of its three independent rows b1, b2, b3, an element x is
-    keyed on the indices in S of the rows b1 x, b2 x, b3 x of B x, which
-    determine x = B^-1 (B x), and a generator maps each index through its
-    permutation: no matrix product.  An element's determinant is its
-    parent's times the generator's on its first edge; determinants are
-    roots of unity, so each distinct (determinant, generator) pair is
-    multiplied once, in a table local to the call.  A trace is read off
-    the key (a, b, c) as tr((B x) B^-1), the sum of entries 0, 1, 2 of
-    S[a], S[b], S[c] times B^-1 (one `row_map` of B^-1 for all of S),
-    summed as integer tuples over one denominator common to all of S B^-1
-    (no per-element rescaling or gcd), and the raw sum is the key of one
-    CycloNum per distinct trace.  More than `bound` elements raise
-    ClosureBoundError.
+    The search runs on the permutation action of `_row_action`.  An
+    element x is keyed on the indices in S of its own rows e1 x, e2 x,
+    e3 x, so the identity is the key of the three unit rows, and a
+    generator maps each index through its permutation: no matrix product.
+    An element's determinant is its parent's times the generator's on its
+    first edge; determinants are roots of unity, so each distinct
+    (determinant, generator) pair is multiplied once, in a table local to
+    the call.  A trace is read off the key (a, b, c) as the sum of entry 0
+    of S[a], entry 1 of S[b] and entry 2 of S[c], summed as integer tuples
+    over one denominator common to all of S (no per-element rescaling or
+    gcd), and the raw sum is the key of one CycloNum per distinct trace.
+    More than `bound` elements raise ClosureBoundError.
     """
     n = lcm(*(g.n for g in generators))
     gens = [g.lift(n) for g in generators]
@@ -179,9 +162,10 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     if any(d.is_zero() for d in gen_dets):
         # a singular generator makes a monoid, which does not permute S
         raise ValueError("closure generators must be invertible")
-    vectors, vector_index, perms, basis = _row_action(n, gens, bound)
-    keys = [basis]
-    index = {basis: 0}
+    vectors, vector_index, perms = _row_action(n, gens, bound)
+    identity = tuple(vector_index[e] for e in unit_rows(n))
+    keys = [identity]
+    index = {identity: 0}
     words, dets = [()], [CycloNum.one(n)]
     det_products: Dict[tuple, CycloNum] = {}    # (det value, generator) -> product
     right: List[List[int]] = [[] for _ in gens]
@@ -206,12 +190,9 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
                 dets.append(product)
             right[g].append(j)
         i += 1
-    basis_inv = Mat3.from_rows(n, [vectors[s] for s in basis]).inverse()
-    times_basis_inv = row_map(basis_inv)
-    rows = [times_basis_inv(v) for v in vectors]   # S[s] B^-1, as integers
-    den = lcm(*(d for d, _ in rows))
-    # entry j of every S[s] B^-1, over the one denominator den
-    d0, d1, d2 = ([tuple(c * (den // d) for c in e[j]) for d, e in rows] for j in range(3))
+    den = lcm(*(d for d, _ in vectors))
+    # entry j of every vector of S, over the one denominator den
+    d0, d1, d2 = ([tuple(c * (den // d) for c in e[j]) for d, e in vectors] for j in range(3))
     traces = []
     distinct: Dict[tuple, CycloNum] = {}
     for a, b, c in keys:
@@ -221,9 +202,8 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
             trace = distinct[raw] = CycloNum(n, raw, den)
         traces.append(trace)
     return _Cayley(
-        n=n, vectors=tuple(vectors), vector_index=vector_index, basis=basis,
-        basis_inv=basis_inv, keys=tuple(keys), index=index,
-        right=tuple(tuple(col) for col in right), words=tuple(words),
+        n=n, vectors=tuple(vectors), vector_index=vector_index, keys=tuple(keys),
+        index=index, right=tuple(tuple(col) for col in right), words=tuple(words),
         traces=tuple(traces), dets=_shared(dets))
 
 
@@ -231,7 +211,7 @@ def enumerate_elements(generators: Sequence[Mat3], bound: int = 1_000_000) -> Li
     """Breadth-first closure of a generating set, identity first.
 
     The closure is `_close` (raising ClosureBoundError past `bound`), and
-    each element's exact matrix is then one product, `_Cayley.element`.
+    each element's exact matrix is read off its key, `_Cayley.element`.
     """
     cayley = _close(generators, bound)
     return [cayley.element(i) for i in range(len(cayley))]
@@ -334,14 +314,12 @@ class _Cayley:
     element i is the product of the closure generators words[i], left to
     right, so every group operation below is integer work with no matrix
     arithmetic.  Element i is stored only as keys[i], the indices in the
-    spanning orbit `vectors` of the rows of B x (see `_close`), and
-    `element` rebuilds its exact matrix.
+    row orbits `vectors` of its own rows (see `_close`), and `element`
+    rebuilds its exact matrix from them.
     """
     n: int                                   # the closure conductor
-    vectors: Tuple[tuple, ...]               # the spanning orbit S
+    vectors: Tuple[tuple, ...]               # the orbits S of e1, e2, e3
     vector_index: Dict[tuple, int]
-    basis: Tuple[int, int, int]              # the rows b1, b2, b3 of B, in S
-    basis_inv: Mat3
     keys: Tuple[Tuple[int, int, int], ...]
     index: Dict[tuple, int]                  # keys[i] -> i
     right: Tuple[Tuple[int, ...], ...]
@@ -353,8 +331,8 @@ class _Cayley:
         return len(self.keys)
 
     def element(self, i: int) -> Mat3:
-        """The exact matrix of element i, B^-1 [S[a]; S[b]; S[c]]: one product."""
-        return self.basis_inv * Mat3.from_rows(self.n, [self.vectors[s] for s in self.keys[i]])
+        """The exact matrix of element i, whose rows are S[a], S[b], S[c]."""
+        return Mat3.from_rows(self.n, [self.vectors[s] for s in self.keys[i]])
 
     def product(self, i: int, j: int) -> int:
         right = self.right
@@ -434,8 +412,8 @@ class ReflectionGroup:
     @property
     def elements(self) -> Tuple[Mat3, ...]:
         """All group elements as exact matrices, in closure order with the
-        identity first; element indices refer to this.  Each access makes
-        one matrix product per element (`_Cayley.element`)."""
+        identity first; element indices refer to this.  Each access builds
+        every element's matrix from its key (`_Cayley.element`)."""
         return tuple(self.cayley.element(i) for i in range(self.order))
 
     # -- index-level operations, answered from the Cayley graph -------------
@@ -447,11 +425,10 @@ class ReflectionGroup:
                 # a member's entries descend to divisors of n, at any conductor
                 g = Mat3.from_entries([[e.canonical().lift(c.n) for e in row]
                                        for row in g.entries()])
-            # B g determines g: it is element i when, for each row b of B,
-            # b g is the vector S[s] of S and these s form keys[i]
+            # g is element i when each of its rows e_k g is a vector S[s]
+            # of S and these s form keys[i]
             times_g = row_map(g)
-            return c.index[tuple(c.vector_index[times_g(c.vectors[b])]
-                                 for b in c.basis)]
+            return c.index[tuple(c.vector_index[times_g(e)] for e in unit_rows(c.n))]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
 
@@ -518,12 +495,13 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     product r1 r2 r3 has the eigenvalues zeta_h^(d_i - 1) of a regular
     element, h = d3 the largest degree.
 
-    The closure (`_close`) walks the exact orbit of the row vector e1
-    (then e2, e3 if needed) until it spans, so the group acts faithfully on
-    a finite set.  Elements are enumerated on that permutation action with
-    their traces and determinants.  The reflection scan forms det + 2 once
-    for each distinct determinant and compares every trace with it; exact
-    matrices are built only for the trace = det + 2 candidates.
+    The closure (`_close`) walks the exact orbits of the row vectors e1,
+    e2 and e3, a finite set on which the group acts faithfully.  Elements
+    are enumerated on that permutation action, each keyed on its own three
+    rows, with their traces and determinants.  The reflection scan forms
+    det + 2 once for each distinct determinant and compares every trace
+    with it; exact matrices are built only for the trace = det + 2
+    candidates.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()

@@ -4,7 +4,7 @@ import pytest
 
 from reflpvi.braid import (LETTERS, GenusError, OrbitBoundError, braid_act,
                            braid_act_quintuple, braid_act_word, cover_genus,
-                           cycle_type, orbit, orbit_partition, reduce_word)
+                           cycle_type, orbit, orbit_partition)
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
 from reflpvi.linalg3 import Mat3
@@ -14,13 +14,6 @@ def _zero_fp():
     z = CycloNum.zero(1)
     m = CycloNum.from_rational(-1)
     return Fingerprint(m, m, m, z, z, z, z, z)
-
-
-def test_reduce_word():
-    assert reduce_word(["b1", "b1i", "b2"]) == ("b2",)
-    assert reduce_word(["b1", "b2", "b2i", "b1i"]) == ()
-    with pytest.raises(ValueError):
-        reduce_word(["nope"])
 
 
 def test_commuting_triple_swap():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from reflpvi import schlesinger
+from reflpvi import cli, schlesinger
 from reflpvi.cli import main
 from reflpvi.schlesinger import DegenerateSampleError, PathError
 
@@ -168,6 +168,17 @@ def test_command_does_not_import(module, argv):
     proc = subprocess.run([sys.executable, "-c", _PROBE, module, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "False 0", proc.stderr
+
+
+def test_orbits_fix_first_refuses_several_reflection_classes(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classified before refusing")
+    monkeypatch.setattr(cli, "classify_triples", unreachable)
+    assert main(["orbits", "--spec", "G648", "--fix-first"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: G648: --fix-first needs the reflections to form "
+                            "one conjugacy class, and they form more than one\n")
 
 
 def test_orbits_small_group(capsys):

@@ -240,7 +240,7 @@ def table1_groups():
 
 
 def test_row_map_matches_the_matrix_product(table1_groups):
-    # every closure generator and B^-1 of these groups, and a matrix whose
+    # every closure generator of these groups, and a matrix whose
     # coefficients are all nonzero, on every vector of S
     dens = set()
     rng = random.Random(3)
@@ -251,7 +251,7 @@ def test_row_map_matches_the_matrix_product(table1_groups):
         mats = [g.lift(c.n) for g in _generating_set(GroupSpec.parse(label))]
         dense = Mat3(c.n, [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)]
                            for _ in range(9)], 5)
-        for m in mats + [c.basis_inv, dense]:
+        for m in mats + [dense]:
             dens.add(m.den)
             apply = row_map(m)
             for row in c.vectors:
@@ -365,12 +365,14 @@ def _reducible_sets():
     one, z3, z4 = CycloNum.one(1), root_of_unity(3), root_of_unity(4)
     minus = CycloNum.from_rational(-1)
     swap12, swap23 = Mat3.permutation([1, 0, 2]), Mat3.permutation([0, 2, 1])
-    # e1 spans a line of its own: {e1, -e1}, then e2 and e3 form one orbit
+    # e1's orbit is {e1, -e1}, and e2's orbit holds e3, so the seed e3 is
+    # seen and skipped
     yield [Mat3.diag(minus, one, one), Mat3.diag(one, z3, one), swap23], 36
-    # e1's orbit spans the (e1, e2) plane, so e2 is seen and skipped and
-    # the third vector comes from e3's orbit
+    # e1's orbit holds e2, so the seed e2 is seen and skipped, and e3's
+    # orbit is {e3, -e3}
     yield [swap12, Mat3.diag(z4, one, one), Mat3.diag(one, one, minus)], 64
-    # the generators fix e1, whose orbit is the seed alone
+    # the generators fix e1, whose orbit is the seed alone, and e2's orbit
+    # holds e3
     yield [swap23, Mat3.diag(one, z3, one)], 18
 
 
@@ -380,6 +382,20 @@ def test_closure_of_reducible_sets_matches_exact(gens, order):
     assert len(_close(gens, order)) == order
     with pytest.raises(ClosureBoundError):
         _close(gens, order - 1)
+
+
+@pytest.mark.parametrize("label", ["G(4,1,3)", "icosahedral", "G648", "G2160"])
+def test_closure_needs_no_matrix_products(monkeypatch, label):
+    # an element is keyed on its own rows, so neither building the group nor
+    # reading its elements multiplies or inverts a matrix
+    def refuse(*args):
+        raise AssertionError("matrix arithmetic in the closure")
+    monkeypatch.setattr(Mat3, "__mul__", refuse)
+    monkeypatch.setattr(Mat3, "inverse", refuse)
+    spec = GroupSpec.parse(label)
+    group = build_group(spec)
+    assert len(group.elements) == spec.expected_order()
+    assert len(enumerate_elements(_generating_set(spec))) == spec.expected_order()
 
 
 def test_denominator_prime_is_skipped():
