@@ -2,7 +2,7 @@
 Painleve VI parameter bookkeeping with numerical isomonodromy checks."""
 
 from .cyclotomic import CycloNum, root_of_unity, log_root_of_unity
-from .linalg3 import Mat3, Spectrum, is_pseudo_reflection, finite_order_spectrum
+from .linalg3 import Mat3, is_pseudo_reflection, finite_order_spectrum
 from .groups import GroupSpec, ReflectionGroup, build_group, enumerate_elements
 from .fingerprints import Fingerprint, TripleClass, fingerprint, classify_triples
 from .braid import braid_act_quintuple, orbit, orbit_partition, cover_genus

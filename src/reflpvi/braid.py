@@ -98,7 +98,6 @@ def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
 
 @dataclass
 class OrbitReport:
-    seeds: List[Fingerprint]
     orbit: List[Fingerprint]
     sigma1: Tuple[int, ...]
     sigma2: Tuple[int, ...]
@@ -217,7 +216,6 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     except GenusError:
         genus = None
     return OrbitReport(
-        seeds=[states[0]],
         orbit=states,
         sigma1=sigma1,
         sigma2=sigma2,

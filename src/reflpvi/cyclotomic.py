@@ -77,43 +77,18 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """x^m mod Phi_n for m = d .. max(n, 2d-1) - 1, as integer rows (d = phi(n))."""
-    phi = list(cyclotomic_polynomial(n))
-    d = len(phi) - 1
-    top_degree = max(n, 2 * d - 1) - 1
-    rows = []
-    # current = x^m reduced, starting at m = d
-    current = [-c for c in phi[:-1]]
-    rows.append(tuple(current))
-    for _ in range(top_degree - d):
-        current = [0] + current
-        top = current.pop()  # coefficient of x^d
-        if top:
-            current = [c - top * p for c, p in zip(current, phi[:-1])]
-        rows.append(tuple(current))
-    return tuple(rows)
-
-
 def reduce_power_coeffs(n: int, coeffs: Sequence[int]) -> list:
-    """Reduce an integer coefficient list modulo Phi_n to length phi(n)."""
+    """Reduce an integer coefficient list modulo Phi_n to length phi(n): x^m
+    is zeta_n^(m mod n), read off the table of `_roots_of_unity`."""
     d = euler_phi(n)
-    if len(coeffs) > max(n, 2 * d - 1):
-        # zeta^n = 1: fold exponents mod n before the polynomial reduction
-        folded = [0] * n
-        for m, c in enumerate(coeffs):
-            folded[m % n] += c
-        coeffs = folded
     out = list(coeffs[:d]) + [0] * max(0, d - len(coeffs))
     if len(coeffs) > d:
-        rows = _reduction_rows(n)
+        powers = _roots_of_unity(n)[0]
         for m in range(d, len(coeffs)):
             c = coeffs[m]
             if c == 0:
                 continue
-            row = rows[m - d]
-            for i, r in enumerate(row):
+            for i, r in enumerate(powers[m % n]):
                 if r:
                     out[i] += c * r
     return out
@@ -161,13 +136,9 @@ def _lift_rows(small: int, large: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
     """
     assert large % small == 0
     step = large // small
-    d_small = euler_phi(small)
-    rows = []
-    for j in range(d_small):
-        mono = [0] * (step * j) + [1]
-        image = reduce_power_coeffs(large, mono)
-        rows.append(tuple((i, r) for i, r in enumerate(image) if r))
-    return tuple(rows)
+    powers = _roots_of_unity(large)[0]
+    return tuple(tuple((i, r) for i, r in enumerate(powers[step * j]) if r)
+                 for j in range(euler_phi(small)))
 
 
 def _combine(coeffs: Sequence[int], rows, width: int) -> list:
@@ -476,21 +447,23 @@ def _roots_of_unity(n: int):
     coefficient tuples of zeta_n^k for k < n and a dict from the
     coefficients of s zeta_n^k (integers, denominator 1) to (s, k).
     """
-    powers = tuple(tuple(reduce_power_coeffs(n, [0] * k + [1])) for k in range(n))
+    phi = cyclotomic_polynomial(n)[:-1]       # zeta^d = -sum_i phi[i] zeta^i
+    powers = [(1,) + (0,) * (len(phi) - 1)]
+    for _ in range(n - 1):      # times zeta: a shift, then zeta^d reduced by Phi_n
+        top, x = powers[-1][-1], (0,) + powers[-1][:-1]
+        powers.append(tuple(c - top * f for c, f in zip(x, phi)) if top else x)
     where = {}
     for k, nums in enumerate(powers):
         where.setdefault(nums, (1, k))
         where.setdefault(tuple(-v for v in nums), (-1, k))
-    return powers, where
+    return tuple(powers), where
 
 
 def root_of_unity(n: int, k: int = 1) -> CycloNum:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("order must be positive")
-    k %= n
-    mono = [0] * k + [1]
-    return CycloNum(n, reduce_power_coeffs(n, mono), 1)
+    return CycloNum(n, _roots_of_unity(n)[0][k % n], 1)
 
 
 def log_root_of_unity(c: CycloNum) -> Fraction:

@@ -21,7 +21,7 @@ from operator import add
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .cyclotomic import CycloNum, root_of_unity
-from .linalg3 import Mat3, is_pseudo_reflection, row_map, unit_rows
+from .linalg3 import Mat3, is_pseudo_reflection, row_map
 
 
 class ClosureBoundError(RuntimeError):
@@ -120,7 +120,7 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     vectors: List[tuple] = []        # S in discovery order, doubling as the BFS queue
     perms: List[List[int]] = [[] for _ in gens]
     maps = [row_map(g) for g in gens]
-    for seed in unit_rows(n):
+    for seed in Mat3.identity(n).rows():
         if seed in index:
             continue
         start = s = index[seed] = len(vectors)
@@ -163,7 +163,7 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
         # a singular generator makes a monoid, which does not permute S
         raise ValueError("closure generators must be invertible")
     vectors, vector_index, perms = _row_action(n, gens, bound)
-    identity = tuple(vector_index[e] for e in unit_rows(n))
+    identity = tuple(vector_index[e] for e in Mat3.identity(n).rows())
     keys = [identity]
     index = {identity: 0}
     words, dets = [()], [CycloNum.one(n)]
@@ -427,8 +427,7 @@ class ReflectionGroup:
                                        for row in g.entries()])
             # g is element i when each of its rows e_k g is a vector S[s]
             # of S and these s form keys[i]
-            times_g = row_map(g)
-            return c.index[tuple(c.vector_index[times_g(e)] for e in unit_rows(c.n))]
+            return c.index[tuple(c.vector_index[row] for row in g.rows())]
         except (KeyError, ValueError):
             raise ValueError("element does not belong to the group") from None
 
@@ -498,10 +497,10 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     The closure (`_close`) walks the exact orbits of the row vectors e1,
     e2 and e3, a finite set on which the group acts faithfully.  Elements
     are enumerated on that permutation action, each keyed on its own three
-    rows, with their traces and determinants.  The reflection scan forms
-    det + 2 once for each distinct determinant and compares every trace
-    with it; exact matrices are built only for the trace = det + 2
-    candidates.
+    rows, with their traces and determinants.  The reflections are the
+    elements other than the identity with trace = det + 2, so only the
+    three generators, checked before the closure shows the group finite,
+    go through `is_pseudo_reflection`.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
@@ -517,26 +516,27 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
         raise GroupValidationError(
             f"{spec.label()}: generating set closes to order {len(cayley)}, "
             f"expected {expected}")
-    # a pseudo-reflection has eigenvalues (1, 1, det), so trace = det + 2;
-    # a group has few distinct dets, so det + 2 is made once for each
+    # In a finite group, x != 1 is a pseudo-reflection iff tr x = det x + 2:
+    # x is diagonalisable with root-of-unity eigenvalues, so tr x^-1 is the
+    # conjugate of tr x, e2(x) = det x tr x^-1 = 2 det x + 1 and
+    # det(z - x) = (z - 1)^2 (z - det x).  det + 2 is made once per distinct det.
     plus_two: Dict[tuple, CycloNum] = {}
-    candidates = []
+    matrices = {}
     for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets)):
         target = plus_two.get((d.nums, d.den))
         if target is None:
             target = plus_two[(d.nums, d.den)] = d + 2
-        if t == target:
-            candidates.append(i)
-    matrices = [cayley.element(i) for i in candidates]
-    refl = reflections_of(matrices)
+        if i and t == target:
+            matrices[i] = cayley.element(i)
+    # sorted by matrix key, the order `reflections_of` gives
+    refl_idx = sorted(matrices, key=lambda i: matrices[i].key())
+    refl = [matrices[i] for i in refl_idx]
     if len(refl) != sum(d - 1 for d in degrees):
         raise GroupValidationError(
             f"{spec.label()}: {len(refl)} reflections, expected {sum(d - 1 for d in degrees)}")
     d1, d2, d3 = degrees
     if d1 * d2 * d3 != expected:
         raise GroupValidationError(f"{spec.label()}: degree product mismatch")
-    where = {g.key(): i for g, i in zip(matrices, candidates)}
-    refl_idx = [where[r.key()] for r in refl]
 
     # element 0 is the identity and right[g] multiplies by generator g, so
     # the product walks three columns; det(m), tr(m) and e2(m) = det(m)

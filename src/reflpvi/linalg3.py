@@ -7,9 +7,10 @@ kernel `cyclotomic.dot` (three convolutions summed, one reduction), and
 one gcd pass per matrix makes equal matrices at one conductor have equal
 keys.  The adjugate of the numerators, nine 2x2 minors by the same kernel,
 gives det, charpoly, inverse, rank and the pseudo-reflection test.
-`row_map` compiles a matrix into a map on exact row vectors: the nonzero
-integer weights of each input coefficient, no convolution.  `Mat3.order`
-walks the rows e1, e2, e3 under that map, with no matrix product.
+`row_map` compiles a matrix into a map on exact row vectors, the form
+`Mat3.rows` reads its rows in: the nonzero integer weights of each input
+coefficient, no convolution.  `Mat3.order`, and through it the order
+check of `finite_order_spectrum`, walks e1, e2, e3 under that map.
 """
 
 from __future__ import annotations
@@ -128,6 +129,16 @@ class Mat3:
 
     # -- access -----------------------------------------------------------
 
+    def rows(self) -> Tuple[tuple, tuple, tuple]:
+        """The rows e_k M in the row form of `row_map`, each over its own
+        lowest-terms denominator; `from_rows` is the inverse."""
+        den, nums = self.den, self.nums
+        out = []
+        for row in (nums[0:3], nums[3:6], nums[6:9]):
+            g = gcd(den, *(c for e in row for c in e))
+            out.append((den // g, tuple(tuple(c // g for c in e) for e in row)))
+        return tuple(out)
+
     def entry(self, i: int, j: int) -> CycloNum:
         return CycloNum(self.n, self.nums[3 * i + j], self.den)
 
@@ -236,18 +247,6 @@ class Mat3:
         dinv = CycloNum(self.n, det, self.den).inverse()
         return Mat3(self.n, [dot(self.n, ((e, dinv.nums),)) for e in adj], dinv.den)
 
-    def __pow__(self, k: int) -> "Mat3":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Mat3.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def rank(self) -> int:
         # Division-free via the adjugate, whose entries are the 2x2 minors.
         adj = self._adjugate()
@@ -263,11 +262,12 @@ class Mat3:
         M^m = I exactly when e_k M^m = e_k for k = 1, 2, 3, so the order is
         the lcm of the orbit lengths of the rows e1, e2, e3 under v -> v M
         (one `row_map` of M).  ValueError when an orbit, or the lcm, passes
-        `bound`; a singular M always does, as some e_k never returns.
+        `bound`; a singular M always does, as some e_k never returns.  So
+        M^k = I exactly when order(bound=k) returns a divisor of k.
         """
         times_self = row_map(self)
         order = 1
-        for start in unit_rows(self.n):
+        for start in Mat3.identity(self.n).rows():
             v = start
             for length in range(1, bound + 1):
                 v = times_self(v)
@@ -279,13 +279,6 @@ class Mat3:
             if order > bound:
                 raise ValueError(f"element order exceeds bound {bound}")
         return order
-
-
-def unit_rows(n: int) -> Tuple[tuple, tuple, tuple]:
-    """The rows e1, e2, e3 at conductor n, in the row form of `row_map`."""
-    d = euler_phi(n)
-    zero, one = (0,) * d, (1,) + (0,) * (d - 1)
-    return tuple((1, tuple(one if j == k else zero for j in range(3))) for k in range(3))
 
 
 def row_map(m: Mat3) -> Callable[[tuple], tuple]:
@@ -361,44 +354,25 @@ def is_pseudo_reflection(m: Mat3) -> Optional[CycloNum]:
     return None if t.is_zero() else t
 
 
-class Spectrum:
-    """Multiset of three eigenvalue exponents in [0,1) for a finite-order matrix."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: Sequence[Fraction]):
-        exps = tuple(sorted(Fraction(e) for e in exponents))
-        if len(exps) != 3 or any(e < 0 or e >= 1 for e in exps):
-            raise ValueError("spectrum needs three exponents in [0,1)")
-        self.exponents = exps
-
-    def __eq__(self, other):
-        return isinstance(other, Spectrum) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __repr__(self):
-        return f"Spectrum({self.exponents})"
-
-
-def finite_order_spectrum(m: Mat3, order: int) -> Spectrum:
+def finite_order_spectrum(m: Mat3, order: int) -> Tuple[Fraction, Fraction, Fraction]:
     """Exponents (k1, k2, k3)/order with charpoly(M) = prod (z - zeta_order^ki).
 
-    Verifies M^order = I, then returns the lexicographically first
-    k1 <= k2 <= k3 whose power sums match, all exactly.  tr M and e2(M)
-    are lifted once to L = lcm(order, n), where every zeta_order^k is an
-    integer power-basis tuple, so each candidate's sums are compared with
-    them as (nums, den) at L, with no descent to a minimal conductor.
+    Verifies M^order = I by `Mat3.order` (a walk of rows, no matrix
+    product), then returns the lexicographically first k1 <= k2 <= k3 whose
+    power sums match, all exactly, as the ascending tuple of exponents.
+    tr M and e2(M) are lifted once to L = lcm(order, n), where every
+    zeta_order^k is an integer power-basis tuple, so each candidate's sums
+    are compared with them as (nums, den) at L, with no descent.
     det M = zeta_order^k_det fixes k3 = k_det - k1 - k2 mod order, so only
     the pairs (k1, k2) are enumerated.
     """
     if order < 1:
         raise SpectrumError("order must be positive")
-    if m ** order != Mat3.identity(1):
+    try:
+        divides = order % m.order(bound=order) == 0
+    except ValueError:          # M is singular, or its order is past `order`
+        divides = False
+    if not divides:
         raise SpectrumError("matrix does not have the claimed order")
     c0, c1, c2, _ = m.charpoly()
     big = lcm(order, m.n)
@@ -420,7 +394,7 @@ def finite_order_spectrum(m: Mat3, order: int) -> Spectrum:
                      zpow[(k2 + k3) % order])
             if (tuple(s2), 1) != e2:
                 continue
-            return Spectrum([Fraction(k1, order), Fraction(k2, order), Fraction(k3, order)])
+            return Fraction(k1, order), Fraction(k2, order), Fraction(k3, order)
     raise SpectrumError("no exponent triple matches the characteristic polynomial")
 
 

@@ -108,8 +108,7 @@ def lambda_mu_of_triple(triple: Sequence[Mat3]) -> LambdaMu:
         lambdas.append(log_root_of_unity(t))
     prod = triple[0] * triple[1] * triple[2]
     order = prod.order(1000)
-    spectrum = finite_order_spectrum(prod, order)
-    return LambdaMu(tuple(lambdas), tuple(spectrum.exponents))
+    return LambdaMu(tuple(lambdas), finite_order_spectrum(prod, order))
 
 
 def mu_from_degrees(degrees: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:

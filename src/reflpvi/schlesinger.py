@@ -158,7 +158,6 @@ class Trajectory:
     b2s: np.ndarray
     b4: np.ndarray
     lm: LambdaMu
-    config0: ResidueConfig
 
     def b3s(self) -> np.ndarray:
         return -self.b4[None, :, :] - self.b1s - self.b2s
@@ -274,7 +273,7 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     samples = np.concatenate(bb_out)
     # contiguous copies: einsum's summation order depends on the strides
     return Trajectory(np.concatenate(ts_out), samples[:, 0].copy(), samples[:, 1].copy(),
-                      b4, config.lm, config)
+                      b4, config.lm)
 
 
 @dataclass

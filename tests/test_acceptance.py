@@ -133,12 +133,15 @@ def test_criterion_5_cubic_algebra():
     ok = all(cubic_rank_one_exact(rng) for _ in range(100))
     float_err = cubic_rank_one_float(seed=5, count=100)
     ok = ok and float_err < 1e-10
-    # normal form round-trips exactly
+    # normal form round-trips exactly, and the theta cubic of every mu order
+    # has the normal form of the (lambda, mu) cubic
     for _ in range(20):
         lm = random_lambda_mu(rng)
         cub = CubicForm.from_lambda_mu(lm)
-        _, (x0, y0) = normalize_cubic(cub)
+        normal, (x0, y0) = normalize_cubic(cub)
         ok = ok and cub.shifted(x0, y0).shifted(-x0, -y0) == cub
+        ok = ok and all(normalize_cubic(CubicForm.from_theta(theta_map(lm, perm)))[0] == normal
+                        for perm in permutations(range(3)))
     report(5, ok, f"cubic constants validated on 100 exact + 100 float samples (max fp error {float_err:.1e})")
 
 

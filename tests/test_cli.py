@@ -120,6 +120,39 @@ def test_verify_cubic(capsys):
     assert payload["float_max_error"] < 1e-10
 
 
+def test_verify_cubic_refuses_a_wrong_theta_cubic(capsys, monkeypatch):
+    from reflpvi.params import CubicForm
+    monkeypatch.setattr(CubicForm, "from_theta",
+                        staticmethod(lambda theta: CubicForm({(2, 1): 4, (1, 2): 4, (0, 0): 1})))
+    code, out = run_cli(capsys, "verify", "cubic", "--count", "2")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "check": "cubic", "ok": False,
+                               "side": "normal form"}
+
+
+def test_text_format(capsys):
+    code, out = run_cli(capsys, "--format", "text", "groups", "info", "--spec", "G(2,2,3)")
+    assert code == 0
+    assert out.splitlines() == ["schema: 1", "spec: G(2,2,3)", "order: 24",
+                                "degrees: [2, 3, 4]", "reflections: 6"]
+
+
+def test_relative_output_lands_in_the_output_dir(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("REFLPVI_OUTPUT_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "--output", "rel.json", "groups", "info", "--spec", "G(2,2,3)")
+    assert (code, out) == (0, "")
+    assert json.loads((tmp_path / "rel.json").read_text())["order"] == 24
+
+
+def test_verify_schlesinger_dump(capsys, tmp_path):
+    path = tmp_path / "traj.csv"
+    code, _ = run_cli(capsys, "verify", "schlesinger", "--seed", "1", "--dump", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("t,x,y,f")
+    assert len(lines) == 1 + 301
+
+
 @pytest.mark.parametrize("check", ["schlesinger", "eta-pvi"])
 def test_verify_float_layer(capsys, check):
     code, out = run_cli(capsys, "verify", check, "--seed", "1")

@@ -267,6 +267,28 @@ def test_reflection_prescan_finds_reflections_and_identity(table1_groups, label)
     candidates = {i for i in range(len(c)) if c.traces[i] == c.dets[i] + 2}
     assert candidates == set(group.reflection_indices()) | {0}
     assert group.reflection_indices() == [group.index_of(r) for r in group.reflections]
+    # build_group reads the reflections off trace = det + 2; the adjugate
+    # test of `is_pseudo_reflection` on every element is the independent check
+    assert reflections_of(group.elements) == list(group.reflections)
+
+
+@pytest.mark.parametrize("label", ["G336", "G2160"])
+def test_only_the_generators_get_the_reflection_test(monkeypatch, label):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_pseudo_reflection(m)
+    monkeypatch.setattr(groups, "is_pseudo_reflection", counted)
+    group = build_group(GroupSpec.parse(label))
+    assert calls == list(group.generators)
+
+
+def test_index_of_refuses_a_singular_matrix(g336):
+    # every row of this matrix is e1, a vector of S, but no element has it
+    e1 = Mat3.identity(g336.cayley.n).rows()[0]
+    with pytest.raises(ValueError, match="does not belong"):
+        g336.index_of(Mat3.from_rows(g336.cayley.n, [e1, e1, e1]))
 
 
 # -- the row-action closure against an exact one -----------------------------

@@ -335,7 +335,7 @@ def _branch_point_traj(lm):
     b1s = np.zeros((len(ts), 3, 3), dtype=complex)
     b1s[:, 0, 0] = s
     zero = np.zeros((3, 3), dtype=complex)
-    return Trajectory(ts, b1s, np.zeros_like(b1s), zero, lm, None)
+    return Trajectory(ts, b1s, np.zeros_like(b1s), zero, lm)
 
 
 # Klein, a row with a = 0 and b != 0 in the cubic, and one with k = 0
