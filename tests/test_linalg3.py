@@ -88,8 +88,10 @@ def test_finite_order_spectrum_basics():
     assert list(sp) == [Fraction(0), Fraction(0), Fraction(1, 2)]
     sp = finite_order_spectrum(Mat3.permutation([1, 2, 0]), 3)
     assert list(sp) == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
-    with pytest.raises(SpectrumError):
-        finite_order_spectrum(Mat3.permutation([1, 2, 0]), 2)
+    # the order 3 passes the claimed 2; it is within 4 but does not divide it
+    for claimed in (2, 4):
+        with pytest.raises(SpectrumError, match="claimed order"):
+            finite_order_spectrum(Mat3.permutation([1, 2, 0]), claimed)
 
 
 def test_klein_standard_product_spectrum(g336):
