@@ -28,7 +28,7 @@ value u per letter,
 At t1 = t2 = t3 = -1 these are the polynomial maps of the real case.  All
 four satisfy fingerprint(beta(T)) = beta_hat(fingerprint(T)) exactly,
 which the test suite checks on whole groups, so braid orbits are walked on
-fingerprints alone.
+fingerprints alone, as raw integer coefficient tuples (`_act`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .cyclotomic import CycloNum, _normalize, dot
 from .linalg3 import Mat3
 from .fingerprints import Fingerprint, TripleClass, fingerprint
 
@@ -70,30 +71,83 @@ def braid_act_word(word: Sequence[str], triple: Sequence[Mat3]):
     return triple
 
 
+def _shorthand(n: int, t, a, b, p, q, inverses: Dict[tuple, tuple]):
+    """u = (q + ab)/t and t p - ab, for raw (nums, den) values at conductor n.
+
+    1/t is read from `inverses`, and made and kept there on first use; a
+    zero t has no inverse and raises ZeroDivisionError.
+    """
+    (an, ad), (bn, bd), (pn, pd), (qn, qd), (tn, td) = a, b, p, q, t
+    ab, abd = dot(n, ((an, bn),)), ad * bd
+    if t not in inverses:
+        inv = CycloNum(n, tn, td, _normalized=True).inverse()
+        inverses[t] = (inv.nums, inv.den)
+    tin, tid = inverses[t]
+    u = _normalize(dot(n, (([c * abd + e * qd for c, e in zip(qn, ab)], tin),)),
+                   qd * abd * tid)
+    tp, tpd = dot(n, ((tn, pn),)), td * pd
+    v = _normalize([c * abd - e * tpd for c, e in zip(tp, ab)], tpd * abd)
+    return u, v
+
+
+def _plus_p_minus_u(s, p, u):
+    """s + p - u for raw (nums, den) values."""
+    (sn, sd), (pn, pd), (un, ud) = s, p, u
+    den = lcm(sd, pd, ud)
+    ks, kp, ku = den // sd, den // pd, den // ud
+    return _normalize([a * ks + b * kp - c * ku for a, b, c in zip(sn, pn, un)], den)
+
+
+def _act(letter: str, state: tuple, n: int, inverses: Dict[tuple, tuple]) -> tuple:
+    """The letter's map (see the module docstring) on a raw state: the eight
+    fingerprint values (t1, t2, t3, w, x, y, p, q) as lowest-terms
+    (nums, den) at conductor n, which the maps keep.  `inverses` keeps
+    1/t by raw t (see `_shorthand`)."""
+    t1, t2, t3, w, x, y, p, q = state
+    if letter == "b1":
+        u, v = _shorthand(n, t2, w, y, p, q, inverses)
+        return (t2, t1, t3, w, y, _plus_p_minus_u(x, p, u), u, v)
+    if letter == "b2":
+        u, v = _shorthand(n, t3, x, y, p, q, inverses)
+        return (t1, t3, t2, x, _plus_p_minus_u(w, p, u), y, u, v)
+    if letter == "b1i":
+        u, v = _shorthand(n, t1, w, x, p, q, inverses)
+        return (t2, t1, t3, w, _plus_p_minus_u(y, p, u), x, u, v)
+    if letter == "b2i":
+        u, v = _shorthand(n, t2, w, y, p, q, inverses)
+        return (t1, t3, t2, _plus_p_minus_u(x, p, u), w, y, u, v)
+    raise ValueError(f"unknown braid letter {letter!r}")
+
+
+def _raw_state(fp: Fingerprint) -> Tuple[int, tuple, Dict[tuple, CycloNum]]:
+    """The common conductor n of fp's values, fp as a raw state at n, and
+    fp's values lifted to n, by raw value."""
+    n = lcm(*(v.n for v in fp._values()))
+    values = [v.lift(n) for v in fp._values()]
+    state = tuple((v.nums, v.den) for v in values)
+    return n, state, dict(zip(state, values))
+
+
+def _fingerprints(n: int, states: Sequence[tuple],
+                  objects: Dict[tuple, CycloNum]) -> List[Fingerprint]:
+    """The raw states at conductor n as Fingerprints, with one CycloNum per
+    distinct value: the one in `objects` where there is one."""
+    for state in states:
+        for value in state:
+            if value not in objects:
+                objects[value] = CycloNum(n, value[0], value[1], _normalized=True)
+    return [Fingerprint(*(objects[v] for v in state)) for state in states]
+
+
 def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
     """Induced action on the fingerprint, for reflections of any order.
 
-    A zero t_i has no inverse and raises ZeroDivisionError.
+    The map is `_act` on fp's values lifted to their common conductor, so
+    the image has every value at that conductor.  A zero t_i has no
+    inverse and raises ZeroDivisionError.
     """
-    t1, t2, t3 = fp.t1, fp.t2, fp.t3
-    w, x, y, p, q = fp.quintuple()
-    if letter == "b1":
-        wy = w * y
-        u = (q + wy) / t2
-        return Fingerprint(t2, t1, t3, w, y, x + p - u, u, t2 * p - wy)
-    if letter == "b2":
-        xy = x * y
-        u = (q + xy) / t3
-        return Fingerprint(t1, t3, t2, x, w + p - u, y, u, t3 * p - xy)
-    if letter == "b1i":
-        wx = w * x
-        u = (q + wx) / t1
-        return Fingerprint(t2, t1, t3, w, y + p - u, x, u, t1 * p - wx)
-    if letter == "b2i":
-        wy = w * y
-        u = (q + wy) / t2
-        return Fingerprint(t1, t3, t2, x + p - u, w, y, u, t2 * p - wy)
-    raise ValueError(f"unknown braid letter {letter!r}")
+    n, state, objects = _raw_state(fp)
+    return _fingerprints(n, [_act(letter, state, n, {})], objects)[0]
 
 
 @dataclass
@@ -157,53 +211,57 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
           max_size: int = 1_000_000) -> OrbitReport:
     """Closure of a fingerprint class under the chosen braid generators.
 
-    A triple seed is replaced by its fingerprint; the walk itself only
-    applies `braid_act_quintuple`.  generators = "full" uses beta1, beta2
-    (the full braid group on three strings); "pure" uses their squares (the
-    pure braid group).  The report always records the permutations sigma1,
-    sigma2 induced by the squares on the orbit, their composition (apply
-    beta1^2 then beta2^2), all three cycle types and the cover genus they
-    determine.  The squares are read off the walk's own transitions, so a
-    state costs four `braid_act_quintuple` calls ("pure") or two ("full").
+    A triple seed is replaced by its fingerprint.  generators = "full" uses
+    beta1, beta2 (the full braid group on three strings); "pure" uses their
+    squares (the pure braid group).  The report always records the
+    permutations sigma1, sigma2 induced by the squares on the orbit, their
+    composition (apply beta1^2 then beta2^2), all three cycle types and the
+    cover genus they determine.  The squares are read off the walk's own
+    transitions, so a state costs four letter maps (`_act`, "pure") or two
+    ("full").
+
     The seed is lifted once to the common conductor of its entries, which
-    the braid maps keep and where coefficients are unique, so states are
-    keyed on raw (nums, den).
+    the braid maps keep and where coefficients are unique, and the walk
+    runs on raw states, the values' (nums, den), which are also its keys.
+    The maps only permute t1, t2, t3, so each 1/t_i is made once per walk.
+    The reported Fingerprints share one CycloNum per distinct value, the
+    seed's own where it has the value, so a `key()` of every state descends
+    each value at most once.
     """
     if generators not in ("full", "pure"):
         raise ValueError("generators must be 'full' or 'pure'")
     start = seed if isinstance(seed, Fingerprint) else fingerprint(seed)
-    n = lcm(*(v.n for v in start._values()))
-    start = Fingerprint(*(v.lift(n) for v in start._values()))
+    n, start, objects = _raw_state(start)
+    inverses: Dict[tuple, tuple] = {}
     letter_words = {
         "full": (("b1",), ("b2",)),
         "pure": (("b1", "b1"), ("b2", "b2")),
     }[generators]
 
     index: Dict[tuple, int] = {}
-    states: List[Fingerprint] = []
+    states: List[tuple] = []
     # moves[w][i]: index of the image of state i under letter_words[w]
     moves: Tuple[List[int], ...] = tuple([] for _ in letter_words)
 
-    def visit(fp: Fingerprint) -> int:
-        key = tuple((v.nums, v.den) for v in fp._values())
-        idx = index.get(key)
+    def visit(state: tuple) -> int:
+        idx = index.get(state)
         if idx is None:
             if len(states) >= max_size:
                 raise OrbitBoundError(
                     f"orbit exceeded bound {max_size}; diverging input?")
-            idx = len(states)
-            index[key] = idx
-            states.append(fp)
+            idx = index[state] = len(states)
+            states.append(state)
         return idx
 
     visit(start)
+    act = _act
     i = 0
     while i < len(states):          # states doubles as the BFS queue
         for w, word in enumerate(letter_words):
-            fp = states[i]
+            state = states[i]
             for letter in word:
-                fp = braid_act_quintuple(letter, fp)
-            moves[w].append(visit(fp))
+                state = act(letter, state, n, inverses)
+            moves[w].append(visit(state))
         i += 1
 
     # the pure walk's transitions are the squares; a full walk's, applied twice
@@ -216,7 +274,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     except GenusError:
         genus = None
     return OrbitReport(
-        orbit=states,
+        orbit=_fingerprints(n, states, objects),
         sigma1=sigma1,
         sigma2=sigma2,
         sigma_prod=sigma_prod,

@@ -16,6 +16,7 @@ does no cyclotomic arithmetic per triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycloNum
@@ -69,16 +70,28 @@ class Fingerprint:
 
 
 def _from_traces(ts, pair_traces, triple_traces) -> Fingerprint:
-    """The fingerprint from t_i, tr(r1 r2), tr(r1 r3), tr(r2 r3), tr(r1 r2 r3), tr(r3 r2 r1)."""
-    t1, t2, t3 = ts
-    one = CycloNum.one(t1.n)
-    tr12, tr13, tr23 = pair_traces
-    w = tr12 - one - t1 - t2
-    x = tr13 - one - t1 - t3
-    y = tr23 - one - t2 - t3
-    linear = t1 + t2 + t3 + w + x + y
-    tr123, tr321 = triple_traces
-    return Fingerprint(t1, t2, t3, w, x, y, tr123 - linear, tr321 - linear)
+    """The fingerprint from t_i, tr(r1 r2), tr(r1 r3), tr(r2 r3), tr(r1 r2 r3), tr(r3 r2 r1).
+
+    The eight values are lifted to their common conductor n and put over
+    one common denominator, so every sum and difference is integer work on
+    coefficient tuples; a CycloNum is made only for each of w, x, y, p and
+    q.  The t_i are kept as given.
+    """
+    values = (*ts, *pair_traces, *triple_traces)
+    n = lcm(*{v.n for v in values})
+    values = [v.lift(n) for v in values]
+    den = lcm(*{v.den for v in values})
+    t1, t2, t3, tr12, tr13, tr23, tr123, tr321 = (
+        v.nums if v.den == den else [c * (den // v.den) for c in v.nums] for v in values)
+    w = [a - b - c for a, b, c in zip(tr12, t1, t2)]
+    x = [a - b - c for a, b, c in zip(tr13, t1, t3)]
+    y = [a - b - c for a, b, c in zip(tr23, t2, t3)]
+    for v in (w, x, y):
+        v[0] -= den                     # the 1 in tr(r_i r_j) - 1 - t_i - t_j
+    linear = [sum(c) for c in zip(t1, t2, t3, w, x, y)]
+    p = [a - b for a, b in zip(tr123, linear)]
+    q = [a - b for a, b in zip(tr321, linear)]
+    return Fingerprint(*ts, *(CycloNum(n, v, den) for v in (w, x, y, p, q)))
 
 
 def fingerprint(triple: Sequence[Mat3]) -> Fingerprint:
@@ -150,8 +163,10 @@ def classify_triples(group: ReflectionGroup,
     every trace and det of the group sits at one conductor, where equal
     values have equal coefficients; so two triples share a key exactly
     when they share a fingerprint.  Products are read off one
-    right-multiplication column per reflection (`_Cayley.column`), and the
-    Fingerprint and generated order are computed once per class.
+    right-multiplication column per reflection (`_Cayley.column`).  Each
+    class's Fingerprint (`_from_traces` of the traces and dets tables) and
+    generated order (`_Cayley.generated_order` on the same columns) are
+    read off those columns once per class.
     """
     refl_idx = group.reflection_indices()
     if first_fixed is not None:
@@ -184,10 +199,16 @@ def classify_triples(group: ReflectionGroup,
                     entry[3] += 1
 
     refl = dict(zip(refl_idx, group.reflections))
+    traces, dets = cayley.traces, cayley.dets
+    shared: Dict[tuple, CycloNum] = {}      # one object per value, all at conductor n
     classes = []
     for i, j, k, count in found.values():
-        rep = (refl[i], refl[j], refl[k])
-        classes.append(TripleClass(fingerprint_by_indices(group, (i, j, k)), rep, count,
-                                   group.generated_order_by_indices((i, j, k))))
+        ci, cj, ck = col[i], col[j], col[k]
+        ij = cj[i]
+        fp = _from_traces((dets[i], dets[j], dets[k]), (traces[ij], traces[ck[i]], traces[ck[j]]),
+                          (traces[ck[ij]], traces[ci[cj[k]]]))
+        fp = Fingerprint(*(shared.setdefault((v.nums, v.den), v) for v in fp._values()))
+        classes.append(TripleClass(fp, (refl[i], refl[j], refl[k]), count,
+                                   cayley.generated_order((ci, cj, ck))))
     classes.sort(key=lambda c: c.fingerprint.key())
     return classes

@@ -365,28 +365,23 @@ class _Cayley:
                  for col, g_inv in conj]
         return frozenset(_reachable(i, moves))
 
-    def generated_order(self, idx: Sequence[int]) -> int:
-        """Order of the subgroup generated by the elements idx.
+    def generated_order(self, cols: Sequence[Sequence[int]]) -> int:
+        """Order of the subgroup generated by the elements whose right
+        multiplications are the columns `cols` (see `column`).
 
-        The breadth-first walk steps x -> x idx[m] along the generator
-        columns of words[idx[m]], touching only the subgroup: a full
-        `column` per generator costs |G| lookups a letter, more than the
-        walk when the subgroup is small.  A proper subgroup has at most
-        |G|/2 elements (Lagrange), so once the walk has seen more, the
+        The breadth-first walk steps x -> x g with one lookup per generator
+        and state, touching only the subgroup.  A proper subgroup has at
+        most |G|/2 elements (Lagrange), so once the walk has seen more, the
         subgroup is the whole group.
         """
-        right = self.right
-        words = [self.words[i] for i in idx]
         half = len(self) // 2
         seen = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
-                for word in words:
-                    y = x
-                    for g in word:
-                        y = right[g][y]
+                for col in cols:
+                    y = col[x]
                     if y not in seen:
                         if len(seen) == half:
                             return len(self)
@@ -456,7 +451,8 @@ class ReflectionGroup:
         return self.generated_order_by_indices(idx)
 
     def generated_order_by_indices(self, idx: Sequence[int]) -> int:
-        return self.cayley.generated_order(idx)
+        c = self.cayley
+        return c.generated_order([c.column(i) for i in idx])
 
     def to_dict(self) -> dict:
         return {

@@ -6,7 +6,8 @@ then run in pure integer arithmetic: each entry is one call of the
 kernel `cyclotomic.dot` (three convolutions summed, one reduction), and
 one gcd pass per matrix makes equal matrices at one conductor have equal
 keys.  The adjugate of the numerators, nine 2x2 minors by the same kernel,
-gives det, charpoly, inverse, rank and the pseudo-reflection test.
+gives det, charpoly, inverse and rank; the pseudo-reflection test needs only
+the four minors through the first nonzero entry of M - I.
 `row_map` compiles a matrix into a map on exact row vectors, the form
 `Mat3.rows` reads its rows in: the nonzero integer weights of each input
 coefficient, no convolution.  `Mat3.order`, and through it the order
@@ -339,32 +340,39 @@ def is_pseudo_reflection(m: Mat3) -> Optional[CycloNum]:
     """The non-unit eigenvalue t if rank(M - I) = 1 and det(M) != 0, else None.
 
     If rank(M - I) = 1 then M = I + u v^T, whose eigenvalues are (1, 1, t)
-    with t = 1 + v^T u = det M = tr M - 2.  So the test is: M - I is
-    nonzero, its adjugate vanishes, and t = tr M - 2 is nonzero.  Neither
-    matrix test needs M - I in lowest terms, so its numerators are M's with
-    den taken off the diagonal's constant coefficients.
+    with t = 1 + v^T u = det M = tr M - 2.  The rank test runs on the
+    numerators N of M - I, M's with den taken off the diagonal's constant
+    coefficients (a scale does not change the rank).  N has rank one
+    exactly when it is nonzero and the four 2x2 minors through its first
+    nonzero entry N[r][c] vanish: then every row i is N[i][c]/N[r][c]
+    times row r.  Last, t = tr M - 2, read off tr N, must be nonzero.
     """
     nums = list(m.nums)
     for i in (0, 4, 8):
         nums[i] = (nums[i][0] - m.den,) + nums[i][1:]
-    a = Mat3(m.n, nums, m.den, _normalized=True)
-    if not any(map(any, nums)) or any(map(any, a._adjugate())):
+    pivot = next((k for k, e in enumerate(nums) if any(e)), None)
+    if pivot is None:
         return None
-    t = m.trace() - 2
-    return None if t.is_zero() else t
+    r, c = divmod(pivot, 3)
+    for j in range(3):
+        if j != c:
+            neg = tuple(-x for x in nums[3 * r + j])
+            for i in range(3):
+                # N[r][c] N[i][j] - N[r][j] N[i][c]
+                if i != r and any(dot(m.n, ((nums[pivot], nums[3 * i + j]),
+                                            (neg, nums[3 * i + c])))):
+                    return None
+    # tr N = den (tr M - 3), so t = tr M - 2 = (tr N + den) / den
+    t = [x + y + z for x, y, z in zip(nums[0], nums[4], nums[8])]
+    t[0] += m.den
+    return CycloNum(m.n, t, m.den) if any(t) else None
 
 
 def finite_order_spectrum(m: Mat3, order: int) -> Tuple[Fraction, Fraction, Fraction]:
     """Exponents (k1, k2, k3)/order with charpoly(M) = prod (z - zeta_order^ki).
 
     Verifies M^order = I by `Mat3.order` (a walk of rows, no matrix
-    product), then returns the lexicographically first k1 <= k2 <= k3 whose
-    power sums match, all exactly, as the ascending tuple of exponents.
-    tr M and e2(M) are lifted once to L = lcm(order, n), where every
-    zeta_order^k is an integer power-basis tuple, so each candidate's sums
-    are compared with them as (nums, den) at L, with no descent.
-    det M = zeta_order^k_det fixes k3 = k_det - k1 - k2 mod order, so only
-    the pairs (k1, k2) are enumerated.
+    product), then returns `_spectrum_of_order(m, order)`.
     """
     if order < 1:
         raise SpectrumError("order must be positive")
@@ -374,6 +382,21 @@ def finite_order_spectrum(m: Mat3, order: int) -> Tuple[Fraction, Fraction, Frac
         divides = False
     if not divides:
         raise SpectrumError("matrix does not have the claimed order")
+    return _spectrum_of_order(m, order)
+
+
+def _spectrum_of_order(m: Mat3, order: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """The exponents of `finite_order_spectrum` for an M already known to
+    satisfy M^order = I, such as one whose order was just computed.
+
+    Returns the lexicographically first k1 <= k2 <= k3 whose power sums
+    match, all exactly, as the ascending tuple of exponents.  tr M and
+    e2(M) are lifted once to L = lcm(order, n), where every zeta_order^k
+    is an integer power-basis tuple, so each candidate's sums are compared
+    with them as (nums, den) at L, with no descent.  det M = zeta_order^k_det
+    fixes k3 = k_det - k1 - k2 mod order, so only the pairs (k1, k2) are
+    enumerated.
+    """
     c0, c1, c2, _ = m.charpoly()
     big = lcm(order, m.n)
     tr, e2 = (-c2).lift(big), c1.lift(big)

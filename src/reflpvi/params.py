@@ -26,7 +26,7 @@ from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import log_root_of_unity
-from .linalg3 import Mat3, finite_order_spectrum, is_pseudo_reflection
+from .linalg3 import Mat3, _spectrum_of_order, is_pseudo_reflection
 from .groups import GroupSpec, ReflectionGroup, build_group
 
 
@@ -107,8 +107,9 @@ def lambda_mu_of_triple(triple: Sequence[Mat3]) -> LambdaMu:
             raise ValueError("triple component is not a pseudo-reflection")
         lambdas.append(log_root_of_unity(t))
     prod = triple[0] * triple[1] * triple[2]
-    order = prod.order(1000)
-    return LambdaMu(tuple(lambdas), finite_order_spectrum(prod, order))
+    # the order walk already shows prod^order = I, so the spectrum is read
+    # without the walk `finite_order_spectrum` repeats to check it
+    return LambdaMu(tuple(lambdas), _spectrum_of_order(prod, prod.order(1000)))
 
 
 def mu_from_degrees(degrees: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:

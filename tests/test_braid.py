@@ -181,16 +181,17 @@ def test_orbit_partition_g648(g648):
 
 def test_orbit_squares_from_walk(g648, monkeypatch):
     """sigma1, sigma2 equal the squares applied afresh to every state, and a
-    pure orbit costs four quintuple maps per state, a full one two."""
+    pure orbit costs four raw letter maps per state, a full one two."""
     import reflpvi.braid as braid_mod
     calls = []
+    raw_act = braid_mod._act
 
-    def counting(letter, fp):
+    def counting(letter, *args):
         calls.append(letter)
-        return braid_act_quintuple(letter, fp)
+        return raw_act(letter, *args)
 
     classes = classify_triples(g648)
-    monkeypatch.setattr(braid_mod, "braid_act_quintuple", counting)
+    monkeypatch.setattr(braid_mod, "_act", counting)
     for generators, per_state in (("pure", 4), ("full", 2)):
         seen = set()
         for cls in classes:
@@ -205,6 +206,21 @@ def test_orbit_squares_from_walk(g648, monkeypatch):
                 squares = [braid_act_quintuple(letter, braid_act_quintuple(letter, fp))
                            for fp in rep.orbit]
                 assert sigma == tuple(index[fp.key()] for fp in squares)
+
+
+def test_orbit_states_share_one_value_object(g648):
+    """The reported Fingerprints of a walk hold one CycloNum object per
+    distinct value, so keying every state descends each value once."""
+    shared_values = 0
+    for cls in classify_triples(g648):
+        rep = orbit(cls.fingerprint, "pure")
+        objects = {}
+        for fp in rep.orbit:
+            for v in fp._values():
+                objects.setdefault((v.n, v.nums, v.den), set()).add(id(v))
+        assert all(len(ids) == 1 for ids in objects.values())
+        shared_values += 8 * rep.branches - len(objects)
+    assert shared_values > 0
 
 
 def test_orbit_partition(g336):

@@ -147,3 +147,17 @@ def test_classify_matches_fingerprint_buckets(spec, fixed_first):
         assert cls.representative == tuple(els[i] for i in idx)
         assert cls.multiplicity == count
         assert cls.generated_order == order
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.exceptional("G648"), GroupSpec.imprimitive(4, 1),
+                                  GroupSpec.exceptional("G336")], ids=lambda s: s.label())
+def test_class_data_matches_the_representative(spec):
+    """With the first reflection fixed, each class's fingerprint and
+    generated order, read off the scan's columns, are those of its
+    representative triple computed from the matrices."""
+    group = build_group(spec)
+    classes = classify_triples(group, first_fixed=group.generators[0])
+    for cls in classes:
+        assert cls.generated_order == group.generated_order(cls.representative)
+        direct = fingerprint(cls.representative)
+        assert cls.fingerprint == direct and cls.fingerprint.key() == direct.key()

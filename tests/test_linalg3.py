@@ -60,8 +60,34 @@ def test_is_pseudo_reflection_rank_one_edge_cases():
     assert is_pseudo_reflection(Mat3.from_rationals([[1, 1, 0], [0, 1, 0], [0, 0, 1]])) == one
 
 
+def test_is_pseudo_reflection_hand_made_cases():
+    one = CycloNum.one(1)
+    # the identity: M - I has no nonzero entry
+    assert is_pseudo_reflection(Mat3.identity(7)) is None
+    # M - I = u v^T with u = (1, 1, 0), v = (0, 1, 1): the first nonzero
+    # entry is off the diagonal, and t = 1 + v.u = 2
+    m = Mat3.from_rationals([[1, 1, 1], [0, 2, 1], [0, 0, 1]])
+    assert is_pseudo_reflection(m) == CycloNum.from_rational(2) == m.det()
+    # M - I of rank two whose pivot row and second row look rank one: in
+    # the first, row 2 is twice the pivot row and only row 3 shows the
+    # second rank; in the second, row 2 is twice the pivot row except in
+    # column 3, so only the minor through column 3 shows it
+    for rows in ([[2, 0, 0], [2, 1, 0], [0, 1, 1]], [[2, 2, 0], [2, 5, 1], [0, 0, 1]]):
+        m = Mat3.from_rationals(rows)
+        assert (m - Mat3.identity()).rank() == 2
+        assert is_pseudo_reflection(m) is None
+    # M - I of rank one, but M = I + u v^T with v.u = -1 is singular (t = 0)
+    m = Mat3.from_rationals([[0, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert (m - Mat3.identity()).rank() == 1 and m.det().is_zero()
+    assert is_pseudo_reflection(m) is None
+    # a reflection at a conductor above 1, pivot on the diagonal
+    z = root_of_unity(3)
+    assert is_pseudo_reflection(Mat3.diag(one, z, one)) == z
+
+
 def test_is_pseudo_reflection_matches_rank_and_det(g213, g333, icosa, g336):
-    for group in (g213, g333, icosa, g336):
+    g313 = build_group(GroupSpec.imprimitive(3, 1))
+    for group in (g213, g333, g313, icosa, g336):
         ident = Mat3.identity(group.elements[0].n)
         for g in group.elements:
             t = is_pseudo_reflection(g)

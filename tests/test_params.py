@@ -190,3 +190,34 @@ def test_table1(g336):
     assert all(r.matches for r in rows)
     labels = [r.spec.label() for r in rows]
     assert "G(3,3,3)" in labels and "G2160" in labels and len(rows) == 13
+
+
+def test_lambda_mu_walks_the_order_once(monkeypatch):
+    """lambda_mu_of_triple finds the order of r1 r2 r3 by one row walk and
+    reads the spectrum at that order without a second walk; Table 1 and the
+    mus of the checked `finite_order_spectrum` are unchanged."""
+    import reflpvi.params as params_mod
+    from reflpvi.linalg3 import Mat3, finite_order_spectrum
+    from reflpvi.params import DEFAULT_TABLE_SPECS
+    groups = {spec.label(): build_group(spec) for spec in DEFAULT_TABLE_SPECS}
+    walks, calls = [], []
+    order = Mat3.order
+
+    def counted_order(m, *args, **kwargs):
+        walks.append(m)
+        return order(m, *args, **kwargs)
+
+    def counted_lambda_mu(triple):
+        lm = lambda_mu_of_triple(triple)
+        calls.append((triple, lm))
+        return lm
+
+    monkeypatch.setattr(Mat3, "order", counted_order)
+    monkeypatch.setattr(params_mod, "lambda_mu_of_triple", counted_lambda_mu)
+    rows = table1(groups=groups)
+    monkeypatch.undo()
+    assert len(calls) == len(walks) == len(rows) == 13
+    assert all(r.matches for r in rows)
+    for triple, lm in calls:
+        prod = triple[0] * triple[1] * triple[2]
+        assert lm.mus == finite_order_spectrum(prod, prod.order(1000))
