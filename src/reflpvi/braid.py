@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cyclotomic import CycloNum, _normalize, dot
+from .cyclotomic import CycloNum, Field, _normalize, field
 from .linalg3 import Mat3
 from .fingerprints import Fingerprint, TripleClass, fingerprint
 
@@ -65,27 +65,21 @@ def braid_act(letter: str, triple: Sequence[Mat3]) -> Tuple[Mat3, Mat3, Mat3]:
     raise ValueError(f"unknown braid letter {letter!r}")
 
 
-def braid_act_word(word: Sequence[str], triple: Sequence[Mat3]):
-    for letter in word:
-        triple = braid_act(letter, triple)
-    return triple
-
-
-def _shorthand(n: int, t, a, b, p, q, inverses: Dict[tuple, tuple]):
-    """u = (q + ab)/t and t p - ab, for raw (nums, den) values at conductor n.
+def _shorthand(f: Field, t, a, b, p, q, inverses: Dict[tuple, tuple]):
+    """u = (q + ab)/t and t p - ab, for raw (nums, den) values in the field f.
 
     1/t is read from `inverses`, and made and kept there on first use; a
     zero t has no inverse and raises ZeroDivisionError.
     """
     (an, ad), (bn, bd), (pn, pd), (qn, qd), (tn, td) = a, b, p, q, t
-    ab, abd = dot(n, ((an, bn),)), ad * bd
+    ab, abd = f.dot(((an, bn),)), ad * bd
     if t not in inverses:
-        inv = CycloNum(n, tn, td, _normalized=True).inverse()
+        inv = CycloNum(f.n, tn, td, _normalized=True).inverse()
         inverses[t] = (inv.nums, inv.den)
     tin, tid = inverses[t]
-    u = _normalize(dot(n, (([c * abd + e * qd for c, e in zip(qn, ab)], tin),)),
+    u = _normalize(f.dot((([c * abd + e * qd for c, e in zip(qn, ab)], tin),)),
                    qd * abd * tid)
-    tp, tpd = dot(n, ((tn, pn),)), td * pd
+    tp, tpd = f.dot(((tn, pn),)), td * pd
     v = _normalize([c * abd - e * tpd for c, e in zip(tp, ab)], tpd * abd)
     return u, v
 
@@ -98,23 +92,23 @@ def _plus_p_minus_u(s, p, u):
     return _normalize([a * ks + b * kp - c * ku for a, b, c in zip(sn, pn, un)], den)
 
 
-def _act(letter: str, state: tuple, n: int, inverses: Dict[tuple, tuple]) -> tuple:
+def _act(letter: str, state: tuple, f: Field, inverses: Dict[tuple, tuple]) -> tuple:
     """The letter's map (see the module docstring) on a raw state: the eight
     fingerprint values (t1, t2, t3, w, x, y, p, q) as lowest-terms
-    (nums, den) at conductor n, which the maps keep.  `inverses` keeps
-    1/t by raw t (see `_shorthand`)."""
+    (nums, den) in the field f = `field(n)`, which the maps keep.
+    `inverses` keeps 1/t by raw t (see `_shorthand`)."""
     t1, t2, t3, w, x, y, p, q = state
     if letter == "b1":
-        u, v = _shorthand(n, t2, w, y, p, q, inverses)
+        u, v = _shorthand(f, t2, w, y, p, q, inverses)
         return (t2, t1, t3, w, y, _plus_p_minus_u(x, p, u), u, v)
     if letter == "b2":
-        u, v = _shorthand(n, t3, x, y, p, q, inverses)
+        u, v = _shorthand(f, t3, x, y, p, q, inverses)
         return (t1, t3, t2, x, _plus_p_minus_u(w, p, u), y, u, v)
     if letter == "b1i":
-        u, v = _shorthand(n, t1, w, x, p, q, inverses)
+        u, v = _shorthand(f, t1, w, x, p, q, inverses)
         return (t2, t1, t3, w, _plus_p_minus_u(y, p, u), x, u, v)
     if letter == "b2i":
-        u, v = _shorthand(n, t2, w, y, p, q, inverses)
+        u, v = _shorthand(f, t2, w, y, p, q, inverses)
         return (t1, t3, t2, _plus_p_minus_u(x, p, u), w, y, u, v)
     raise ValueError(f"unknown braid letter {letter!r}")
 
@@ -147,7 +141,7 @@ def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
     inverse and raises ZeroDivisionError.
     """
     n, state, objects = _raw_state(fp)
-    return _fingerprints(n, [_act(letter, state, n, {})], objects)[0]
+    return _fingerprints(n, [_act(letter, state, field(n), {})], objects)[0]
 
 
 @dataclass
@@ -232,6 +226,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
         raise ValueError("generators must be 'full' or 'pure'")
     start = seed if isinstance(seed, Fingerprint) else fingerprint(seed)
     n, start, objects = _raw_state(start)
+    f = field(n)
     inverses: Dict[tuple, tuple] = {}
     letter_words = {
         "full": (("b1",), ("b2",)),
@@ -260,7 +255,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
         for w, word in enumerate(letter_words):
             state = states[i]
             for letter in word:
-                state = act(letter, state, n, inverses)
+                state = act(letter, state, f, inverses)
             moves[w].append(visit(state))
         i += 1
 

@@ -12,10 +12,11 @@ to the minimal conductor.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
 class NotRootOfUnityError(ValueError):
@@ -77,37 +78,72 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
+@dataclass(frozen=True, slots=True)
+class Field:
+    """Q(zeta_n)'s tables and compiled product, made once per n by `field`:
+    `powers` holds zeta_n^k for k < n on the power basis; `roots` maps the
+    coefficients of each root of unity s zeta_n^k (s = +-1) to (s, k); `folds`
+    holds the nonzero (coordinate, coefficient) pairs of zeta_n^m for the
+    exponents m = phi .. 2 phi - 2 that a product of two elements reaches."""
+    n: int
+    phi: int
+    powers: Tuple[Tuple[int, ...], ...]
+    roots: Dict[Tuple[int, ...], Tuple[int, int]]
+    folds: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+    def dot(self, pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> list:
+        """sum x y over the pairs (x, y) of integer power-basis tuples: the
+        one convolution loop of the exact layer, into one shared coefficient
+        list whose exponents from phi on are folded back once by `folds`."""
+        phi = self.phi
+        conv = [0] * (2 * phi - 1)
+        for x, y in pairs:
+            for p, xp in enumerate(x):
+                if xp:
+                    for q, yq in enumerate(y, p):
+                        if yq:
+                            conv[q] += xp * yq
+        out = conv[:phi]
+        for c, row in zip(conv[phi:], self.folds):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return out
+
+
+@lru_cache(maxsize=None)
+def field(n: int) -> Field:
+    """The compiled arithmetic of Q(zeta_n), one shared object per n."""
+    low = cyclotomic_polynomial(n)[:-1]       # zeta^d = -sum_i low[i] zeta^i
+    d = len(low)
+    powers = [(1,) + (0,) * (d - 1)]
+    for _ in range(n - 1):      # times zeta: a shift, then zeta^d reduced by Phi_n
+        top, x = powers[-1][-1], (0,) + powers[-1][:-1]
+        powers.append(tuple(c - top * f for c, f in zip(x, low)) if top else x)
+    roots = {}
+    for k, nums in enumerate(powers):
+        roots.setdefault(nums, (1, k))
+        roots.setdefault(tuple(-v for v in nums), (-1, k))
+    folds = tuple(tuple((i, r) for i, r in enumerate(powers[m % n]) if r)
+                  for m in range(d, 2 * d - 1))
+    return Field(n, d, tuple(powers), roots, folds)
+
+
 def reduce_power_coeffs(n: int, coeffs: Sequence[int]) -> list:
     """Reduce an integer coefficient list modulo Phi_n to length phi(n): x^m
-    is zeta_n^(m mod n), read off the table of `_roots_of_unity`."""
-    d = euler_phi(n)
-    out = list(coeffs[:d]) + [0] * max(0, d - len(coeffs))
-    if len(coeffs) > d:
-        powers = _roots_of_unity(n)[0]
-        for m in range(d, len(coeffs)):
-            c = coeffs[m]
-            if c == 0:
-                continue
-            for i, r in enumerate(powers[m % n]):
-                if r:
-                    out[i] += c * r
+    is zeta_n^(m mod n), read off the power table of `field(n)`."""
+    f = field(n)
+    out = list(coeffs[:f.phi]) + [0] * max(0, f.phi - len(coeffs))
+    for m in range(f.phi, len(coeffs)):
+        if coeffs[m]:
+            for i, r in enumerate(f.powers[m % n]):
+                out[i] += coeffs[m] * r
     return out
 
 
 def dot(n: int, pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> list:
-    """sum x y over the pairs (x, y) of integer power-basis tuples at conductor n.
-
-    The one convolution loop of the exact layer: every pair is convolved
-    into one shared coefficient list, which is reduced once modulo Phi_n.
-    """
-    conv = [0] * (2 * euler_phi(n) - 1)
-    for x, y in pairs:
-        for p, xp in enumerate(x):
-            if xp:
-                for q, yq in enumerate(y, p):
-                    if yq:
-                        conv[q] += xp * yq
-    return reduce_power_coeffs(n, conv)
+    """sum x y over integer power-basis pairs at conductor n: `field(n).dot`."""
+    return field(n).dot(pairs)
 
 
 def _normalize(nums: Iterable[int], den: int) -> Tuple[Tuple[int, ...], int]:
@@ -120,10 +156,6 @@ def _normalize(nums: Iterable[int], den: int) -> Tuple[Tuple[int, ...], int]:
         g = gcd(g, v)
         if g == 1:
             return nums, den
-    if g <= 1:
-        if all(v == 0 for v in nums):
-            return nums, 1
-        return nums, den
     return tuple(v // g for v in nums), den // g
 
 
@@ -136,7 +168,7 @@ def _lift_rows(small: int, large: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
     """
     assert large % small == 0
     step = large // small
-    powers = _roots_of_unity(large)[0]
+    powers = field(large).powers
     return tuple(tuple((i, r) for i, r in enumerate(powers[step * j]) if r)
                  for j in range(euler_phi(small)))
 
@@ -227,21 +259,12 @@ class CycloNum:
         return CycloNum(1, (q.numerator,), q.denominator)
 
     @staticmethod
-    def from_fractions(n: int, coeffs: Sequence[Fraction]) -> "CycloNum":
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [int(c * den) for c in coeffs]
-        return CycloNum(n, nums, den)
-
-    @staticmethod
     def zero(n: int = 1) -> "CycloNum":
         return CycloNum(n, (0,) * euler_phi(n), 1, _normalized=True)
 
     @staticmethod
     def one(n: int = 1) -> "CycloNum":
-        nums = [0] * euler_phi(n)
-        nums[0] = 1
-        return CycloNum(n, nums, 1, _normalized=True)
+        return CycloNum(n, field(n).powers[0], 1, _normalized=True)
 
     # -- representation -------------------------------------------------
 
@@ -360,7 +383,7 @@ class CycloNum:
 
     def __mul__(self, other) -> "CycloNum":
         a, b = self._match(other)
-        return CycloNum(a.n, dot(a.n, ((a.nums, b.nums),)), a.den * b.den)
+        return CycloNum(a.n, field(a.n).dot(((a.nums, b.nums),)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -369,7 +392,7 @@ class CycloNum:
 
         A rational is inverted directly.  A root of unity u of order m has
         inverse u^(m-1), the power just before 1: for u = s zeta_n^k
-        (s = +-1) that is s zeta_n^(n-k), read off `_roots_of_unity`.
+        (s = +-1) that is s zeta_n^(n-k), read off the tables of `field(n)`.
         Anything else is divided into its Galois norm (`_norm_inverse`).
         """
         if self.is_zero():
@@ -378,11 +401,11 @@ class CycloNum:
             # rational den/num; the constructor normalises the sign
             return CycloNum(self.n, (self.den,) + (0,) * (len(self.nums) - 1), self.nums[0])
         if self.den == 1:
-            powers, where = _roots_of_unity(self.n)
-            found = where.get(self.nums)
+            f = field(self.n)
+            found = f.roots.get(self.nums)
             if found is not None:
                 sign, k = found
-                return CycloNum(self.n, tuple(sign * v for v in powers[-k % self.n]), 1,
+                return CycloNum(self.n, tuple(sign * v for v in f.powers[-k % self.n]), 1,
                                 _normalized=True)
         return self._norm_inverse()
 
@@ -439,36 +462,16 @@ class CycloNum:
         return acc / self.den
 
 
-@lru_cache(maxsize=None)
-def _roots_of_unity(n: int):
-    """The roots of unity of Q(zeta_n), by power-basis coefficients.
-
-    They are the lcm(2, n)-th roots of unity, +-zeta_n^k.  Returns the
-    coefficient tuples of zeta_n^k for k < n and a dict from the
-    coefficients of s zeta_n^k (integers, denominator 1) to (s, k).
-    """
-    phi = cyclotomic_polynomial(n)[:-1]       # zeta^d = -sum_i phi[i] zeta^i
-    powers = [(1,) + (0,) * (len(phi) - 1)]
-    for _ in range(n - 1):      # times zeta: a shift, then zeta^d reduced by Phi_n
-        top, x = powers[-1][-1], (0,) + powers[-1][:-1]
-        powers.append(tuple(c - top * f for c, f in zip(x, phi)) if top else x)
-    where = {}
-    for k, nums in enumerate(powers):
-        where.setdefault(nums, (1, k))
-        where.setdefault(tuple(-v for v in nums), (-1, k))
-    return tuple(powers), where
-
-
 def root_of_unity(n: int, k: int = 1) -> CycloNum:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("order must be positive")
-    return CycloNum(n, _roots_of_unity(n)[0][k % n], 1)
+    return CycloNum(n, field(n).powers[k % n], 1)
 
 
 def log_root_of_unity(c: CycloNum) -> Fraction:
     """Return k/n in [0,1) with c = zeta_n^k, or raise NotRootOfUnityError."""
-    found = _roots_of_unity(c.n)[1].get(c.nums) if c.den == 1 else None
+    found = field(c.n).roots.get(c.nums) if c.den == 1 else None
     if found is None:
         raise NotRootOfUnityError("element is not a root of unity")
     sign, k = found

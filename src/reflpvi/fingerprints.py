@@ -152,38 +152,53 @@ def classify_triples(group: ReflectionGroup,
     """Group reflection triples by exact fingerprint equality.
 
     With `first_fixed` given, triples (first_fixed, a, b) range over all
-    reflection pairs (a, b); otherwise all reflection triples are scanned.
+    reflection pairs (a, b); otherwise over all reflection triples.
     Classes come back sorted by fingerprint key, with multiplicities and
     the order of the subgroup each representative generates; the
-    representative of a class is its first triple in scan order.
+    representative of a class is its first triple in `reflection_indices()`
+    order, first element slowest.
 
-    Each triple (i, j, k) is keyed by the ids of its eight values det(i),
-    det(j), det(k), tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji).  The
-    fingerprint is an invertible affine image of those eight values, and
-    every trace and det of the group sits at one conductor, where equal
-    values have equal coefficients; so two triples share a key exactly
-    when they share a fingerprint.  Products are read off one
-    right-multiplication column per reflection (`_Cayley.column`).  Each
-    class's Fingerprint (`_from_traces` of the traces and dets tables) and
-    generated order (`_Cayley.generated_order` on the same columns) are
-    read off those columns once per class.
+    A triple (i, j, k) is keyed by the ids of det(i), det(j), det(k),
+    tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji), of which the fingerprint is
+    an invertible affine image; all of them sit at the closure conductor,
+    where equal values have equal coefficients, so two triples share a key
+    exactly when they share a fingerprint.  Products are read off one
+    right-multiplication column per reflection (`_Cayley.column`), and so
+    are each class's Fingerprint (`_from_traces`) and generated order
+    (`_Cayley.generated_order`).
+
+    Without `first_fixed`, only the earliest member of each conjugacy class
+    C of reflections is scanned as first element, with weight |C| (with it,
+    its one reflection has weight 1).  Conjugation by g maps the triples
+    with first element i one to one onto those with first element g i g^-1
+    and keeps the eight key values, so a key's multiplicity is the sum over
+    C of |C| times its count with the earliest member of C first.  The
+    earliest reflection that heads a triple with a given key is the
+    earliest member of its class, since each conjugate heads a conjugate
+    triple with that key; so the reduced scan finds the full scan's first
+    triple of every key, and in the same order.
     """
     refl_idx = group.reflection_indices()
+    cayley = group.cayley
     if first_fixed is not None:
         fi = group.index_of(first_fixed)
         if fi not in refl_idx:
             raise NotAReflectionError("first_fixed is not a reflection of the group")
-        firsts = [fi]
+        firsts = [(fi, 1)]
     else:
-        firsts = refl_idx
+        placed, firsts = set(), []                     # firsts: (earliest member, |C|)
+        for r in refl_idx:
+            if r not in placed:
+                cls = cayley.conjugacy_class(r)
+                placed |= cls
+                firsts.append((r, len(cls)))
 
-    cayley = group.cayley
     n = cayley.n
     tr = _interned(cayley.traces, n)
     det = _interned(cayley.dets, n)
     col = {r: cayley.column(r) for r in refl_idx}     # col[r][x] = index of x r
     found: Dict[tuple, list] = {}                      # key -> [i, j, k, count]
-    for i in firsts:
+    for i, weight in firsts:
         ci = col[i]
         for j in refl_idx:
             cj = col[j]
@@ -194,9 +209,9 @@ def classify_triples(group: ReflectionGroup,
                 key = head + (det[k], tr[ck[i]], tr[ck[j]], tr[ck[ij]], tr[ci[cj[k]]])
                 entry = found.get(key)
                 if entry is None:
-                    found[key] = [i, j, k, 1]
+                    found[key] = [i, j, k, weight]
                 else:
-                    entry[3] += 1
+                    entry[3] += weight
 
     refl = dict(zip(refl_idx, group.reflections))
     traces, dets = cayley.traces, cayley.dets

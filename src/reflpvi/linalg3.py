@@ -3,7 +3,8 @@
 A Mat3 keeps all nine entries at one conductor over one common positive
 denominator, as integer coefficient tuples on the power basis.  Products
 then run in pure integer arithmetic: each entry is one call of the
-kernel `cyclotomic.dot` (three convolutions summed, one reduction), and
+conductor's compiled product `cyclotomic.field(n).dot` (three
+convolutions summed, one reduction), looked up once per matrix, and
 one gcd pass per matrix makes equal matrices at one conductor have equal
 keys.  The adjugate of the numerators, nine 2x2 minors by the same kernel,
 gives det, charpoly, inverse and rank; the pseudo-reflection test needs only
@@ -24,10 +25,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import (
     CycloNum,
-    _roots_of_unity,
     cyclotomic_polynomial,
-    dot,
     euler_phi,
+    field,
     log_root_of_unity,
 )
 
@@ -183,7 +183,8 @@ class Mat3:
         a, b = self._match(other)
         n, an, bn = a.n, a.nums, b.nums
         cols = (bn[0::3], bn[1::3], bn[2::3])
-        return Mat3(n, [dot(n, zip(row, col))
+        dot = field(n).dot
+        return Mat3(n, [dot(zip(row, col))
                         for row in (an[0:3], an[3:6], an[6:9]) for col in cols],
                     a.den * b.den)
 
@@ -214,19 +215,20 @@ class Mat3:
         """Tr(self * other) without forming the product matrix."""
         a, b = self._match(other)
         bn = b.nums
-        return CycloNum(a.n, dot(a.n, zip(a.nums, bn[0::3] + bn[1::3] + bn[2::3])),
+        return CycloNum(a.n, field(a.n).dot(zip(a.nums, bn[0::3] + bn[1::3] + bn[2::3])),
                         a.den * b.den)
 
     def _adjugate(self) -> List[list]:
         """adj(N), the nine 2x2 minors of the numerators N: adj(M) = adj(N) / den^2."""
         nums = self.nums
         neg = [tuple(-c for c in e) for e in nums]
-        return [dot(self.n, ((nums[a], nums[d]), (neg[b], nums[c])))
+        dot = field(self.n).dot
+        return [dot(((nums[a], nums[d]), (neg[b], nums[c])))
                 for a, d, b, c in _ADJUGATE]
 
     def _det_nums(self, adj: List[list]) -> list:
         """det(N) = row 0 of N times column 0 of adj(N)."""
-        return dot(self.n, zip(self.nums[0:3], adj[0::3]))
+        return field(self.n).dot(zip(self.nums[0:3], adj[0::3]))
 
     def det(self) -> CycloNum:
         return CycloNum(self.n, self._det_nums(self._adjugate()), self.den ** 3)
@@ -246,7 +248,7 @@ class Mat3:
         if not any(det):
             raise SingularMatrixError("matrix is singular")
         dinv = CycloNum(self.n, det, self.den).inverse()
-        return Mat3(self.n, [dot(self.n, ((e, dinv.nums),)) for e in adj], dinv.den)
+        return Mat3(self.n, [field(self.n).dot(((e, dinv.nums),)) for e in adj], dinv.den)
 
     def rank(self) -> int:
         # Division-free via the adjugate, whose entries are the 2x2 minors.
@@ -359,8 +361,8 @@ def is_pseudo_reflection(m: Mat3) -> Optional[CycloNum]:
             neg = tuple(-x for x in nums[3 * r + j])
             for i in range(3):
                 # N[r][c] N[i][j] - N[r][j] N[i][c]
-                if i != r and any(dot(m.n, ((nums[pivot], nums[3 * i + j]),
-                                            (neg, nums[3 * i + c])))):
+                if i != r and any(field(m.n).dot(((nums[pivot], nums[3 * i + j]),
+                                                   (neg, nums[3 * i + c])))):
                     return None
     # tr N = den (tr M - 3), so t = tr M - 2 = (tr N + den) / den
     t = [x + y + z for x, y, z in zip(nums[0], nums[4], nums[8])]
@@ -405,7 +407,7 @@ def _spectrum_of_order(m: Mat3, order: int) -> Tuple[Fraction, Fraction, Fractio
     # det^order = det(M^order) = 1
     det_log = log_root_of_unity(-c0)
     k_det = det_log.numerator * (order // det_log.denominator)
-    zpow = _roots_of_unity(big)[0][::big // order]      # zeta_order^k at L
+    zpow = field(big).powers[::big // order]      # zeta_order^k at L
     for k1 in range(order):
         for k2 in range(k1, order):
             k3 = (k_det - k1 - k2) % order

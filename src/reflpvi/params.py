@@ -319,9 +319,6 @@ class CubicForm:
         terms = [f"{v}*x^{i}y^{j}" for (i, j), v in sorted(self.coeffs.items())]
         return "CubicForm(" + " + ".join(terms) + ")"
 
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        return sum(v * x ** i * y ** j for (i, j), v in self.coeffs.items())
-
     def shifted(self, x0: Fraction, y0: Fraction) -> "CubicForm":
         """The polynomial C(x + x0, y + y0)."""
         from math import comb

@@ -41,19 +41,6 @@ class ResidueConfig:
     lm: LambdaMu
     seed: Optional[int] = None
 
-    def invariant_errors(self) -> Dict[str, float]:
-        """Distances from the defining constraints (all should be tiny)."""
-        errs = {}
-        errs["sum"] = float(np.abs(self.b1 + self.b2 + self.b3 + self.b4).max())
-        for name, b, lam in (("b1", self.b1, self.lm.lambdas[0]),
-                             ("b2", self.b2, self.lm.lambdas[1]),
-                             ("b3", self.b3, self.lm.lambdas[2])):
-            errs[f"trace_{name}"] = abs(np.trace(b) - float(lam))
-            s = np.linalg.svd(b, compute_uv=False)
-            errs[f"rank_{name}"] = float(s[1] / max(s[0], 1e-30))
-        errs["b4_eigs"] = _b4_eig_error(self.b4, self.lm)
-        return errs
-
 
 def _b4_eig_error(b4: np.ndarray, lm: LambdaMu) -> float:
     """Distance of the spectrum of B4 from (-mu1, -mu2, -mu3), both sorted."""

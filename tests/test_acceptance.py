@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from reflpvi.braid import braid_act, braid_act_quintuple, braid_act_word, orbit, orbit_partition
+from reflpvi.braid import braid_act, braid_act_quintuple, orbit, orbit_partition
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import classify_triples, fingerprint, fingerprint_by_indices
 from reflpvi.groups import GroupSpec, build_group
@@ -22,6 +22,14 @@ from reflpvi.schlesinger import (diagonalize_gauge, eta_pvi_residual,
                                  integrate_schlesinger, reduced_flow_compare,
                                  sample_residues)
 from reflpvi.verification import cubic_rank_one_exact, cubic_rank_one_float
+
+
+def braid_act_word(word, triple):
+    """The triple acted on by each letter of `word` in turn."""
+    for letter in word:
+        triple = braid_act(letter, triple)
+    return triple
+
 
 F = Fraction
 

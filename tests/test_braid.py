@@ -3,11 +3,18 @@ import random
 import pytest
 
 from reflpvi.braid import (LETTERS, GenusError, OrbitBoundError, braid_act,
-                           braid_act_quintuple, braid_act_word, cover_genus,
-                           cycle_type, orbit, orbit_partition)
+                           braid_act_quintuple, cover_genus, cycle_type, orbit,
+                           orbit_partition)
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
 from reflpvi.linalg3 import Mat3
+
+
+def braid_act_word(word, triple):
+    """The triple acted on by each letter of `word` in turn."""
+    for letter in word:
+        triple = braid_act(letter, triple)
+    return triple
 
 
 def _zero_fp():

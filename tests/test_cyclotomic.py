@@ -1,14 +1,25 @@
 import cmath
+import dataclasses
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflpvi.cyclotomic import (CycloNum, NotRootOfUnityError,
-                                cyclotomic_polynomial, dot, euler_phi,
-                                log_root_of_unity, root_of_unity)
+                                cyclotomic_polynomial, dot, euler_phi, field,
+                                log_root_of_unity, reduce_power_coeffs,
+                                root_of_unity)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
+
+
+def from_fractions(n, coeffs):
+    """The CycloNum at conductor n with the given rational coefficients."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return CycloNum(n, [int(c * den) for c in coeffs], den)
 
 
 def small_rationals():
@@ -23,7 +34,7 @@ def cyclos(draw, conductors=CONDUCTORS):
     n = draw(st.sampled_from(conductors))
     coeffs = draw(st.lists(small_rationals(), min_size=euler_phi(n),
                            max_size=euler_phi(n)))
-    return CycloNum.from_fractions(n, coeffs)
+    return from_fractions(n, coeffs)
 
 
 def test_cyclotomic_polynomials():
@@ -52,7 +63,7 @@ def test_root_of_unity_normalization():
 
 
 def test_division():
-    a = CycloNum.from_fractions(5, [1, 2, 0, Fraction(1, 3)])
+    a = from_fractions(5, [1, 2, 0, Fraction(1, 3)])
     b = root_of_unity(5, 2) + 2
     assert a / b * b == a
     with pytest.raises(ZeroDivisionError):
@@ -194,8 +205,51 @@ def test_dot_matches_complex_sum_of_products(case):
     assert abs(CycloNum(n, dot(n, pairs)).to_complex() - expected) < 1e-9
 
 
+def test_field_is_one_frozen_object_per_conductor():
+    for n in (1, 3, 12):
+        f = field(n)
+        assert field(n) is f
+        assert (f.n, f.phi) == (n, euler_phi(n))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.phi = 0
+
+
+def _value(n, coeffs):
+    """The complex value of sum_k coeffs[k] zeta_n^k."""
+    z = cmath.exp(2j * cmath.pi / n)
+    return sum(c * z ** k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("n", [5, 9, 12, 21])
+def test_field_dot_folds_the_top_exponent(n):
+    """Pairs whose top coefficients are nonzero reach exponent 2 phi - 2,
+    the last fold row; dot matches complex arithmetic there."""
+    rng = random.Random(n)
+    phi = euler_phi(n)
+
+    def element():
+        return tuple(rng.randint(-9, 9) for _ in range(phi - 1)) + (rng.choice((-3, 2, 7)),)
+
+    for count in (1, 2, 3):
+        pairs = [(element(), element()) for _ in range(count)]
+        expected = sum(_value(n, x) * _value(n, y) for x, y in pairs)
+        assert len(dot(n, pairs)) == phi
+        assert dot(n, pairs) == field(n).dot(pairs)
+        assert abs(_value(n, dot(n, pairs)) - expected) < 1e-6
+
+
+@pytest.mark.parametrize("n", [5, 9, 12, 21])
+def test_reduce_power_coeffs_beyond_one_product(n):
+    """A coefficient list longer than 2 phi - 1 wraps x^m to zeta_n^(m mod n)."""
+    rng = random.Random(100 + n)
+    coeffs = [rng.randint(-9, 9) for _ in range(2 * n + 3)]
+    out = reduce_power_coeffs(n, coeffs)
+    assert len(out) == euler_phi(n)
+    assert abs(_value(n, out) - _value(n, coeffs)) < 1e-6
+
+
 def test_serialization_round_trip():
-    a = CycloNum.from_fractions(7, [Fraction(1, 2), 2, 0, Fraction(-1, 3), 0, 5])
+    a = from_fractions(7, [Fraction(1, 2), 2, 0, Fraction(-1, 3), 0, 5])
     d = a.to_dict()
     assert d["conductor"] == 7
     assert len(d["coeffs"]) == 6

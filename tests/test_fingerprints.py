@@ -132,6 +132,7 @@ def _bucketed(group, firsts):
     (GroupSpec.exceptional("G336"), False),
     (GroupSpec.exceptional("G336"), True),
     (GroupSpec.exceptional("G648"), True),
+    (GroupSpec.exceptional("G648"), False),
 ], ids=lambda v: v.label() if isinstance(v, GroupSpec) else ("fixed" if v else "all"))
 def test_classify_matches_fingerprint_buckets(spec, fixed_first):
     group = build_group(spec)
@@ -161,3 +162,17 @@ def test_class_data_matches_the_representative(spec):
         assert cls.generated_order == group.generated_order(cls.representative)
         direct = fingerprint(cls.representative)
         assert cls.fingerprint == direct and cls.fingerprint.key() == direct.key()
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.parse(s) for s in (
+    "G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)", "G(6,6,3)", "G(3,1,3)",
+    "G(4,1,3)", "G(5,1,3)", "G(6,1,3)", "icosahedral", "G336", "G648", "G1296", "G2160")],
+    ids=lambda s: s.label())
+def test_multiplicities_count_every_triple(spec):
+    """Every reflection triple lands in one class: the multiplicities sum to
+    |R|^3, and to |R|^2 with the first reflection fixed."""
+    group = build_group(spec)
+    r = len(group.reflections)
+    assert sum(c.multiplicity for c in classify_triples(group)) == r ** 3
+    fixed = classify_triples(group, first_fixed=group.generators[0])
+    assert sum(c.multiplicity for c in fixed) == r ** 2

@@ -141,6 +141,11 @@ def test_hitchin_zero_row_example():
     assert f_hitchin_squared((F(0), F(0)), th) == 0
 
 
+def _evaluate(form, x, y):
+    """The value of a CubicForm at (x, y)."""
+    return sum(v * x ** i * y ** j for (i, j), v in form.coeffs.items())
+
+
 def test_cubic_form_evaluation_matches():
     rng = random.Random(19)
     lm = random_lambda_mu(rng)
@@ -150,8 +155,8 @@ def test_cubic_form_evaluation_matches():
     for _ in range(20):
         x = F(rng.randrange(-6, 6), rng.randrange(1, 5))
         y = F(rng.randrange(-6, 6), rng.randrange(1, 5))
-        assert cub.evaluate(x, y) == f_squared((x, y), lm)
-        assert hit.evaluate(x, y) == f_hitchin_squared((x, y), th)
+        assert _evaluate(cub, x, y) == f_squared((x, y), lm)
+        assert _evaluate(hit, x, y) == f_hitchin_squared((x, y), th)
 
 
 def test_normalize_cubic():

@@ -37,8 +37,12 @@ COMMANDS = (
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
        ("triples-G1296", ["triples", "classify", "--spec", "G1296"]),
-       ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"]),
-       ("orbits-G648", ["orbits", "--spec", "G648"]),
+       ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"])]
+    + [(f"triples-{_name(s)}", ["triples", "classify", "--spec", s])
+       for s in ("G336", "icosahedral", "G(4,1,3)", "G2160")]
+    + [("orbits-G648", ["orbits", "--spec", "G648"]),
+       ("orbits-G336", ["orbits", "--spec", "G336"]),
+       ("orbits-icosahedral", ["orbits", "--spec", "icosahedral"]),
        ("orbits-G336-fix-first", ["orbits", "--spec", "G336", "--fix-first"]),
        ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
        ("reproduce-klein", ["reproduce", "klein"]),
