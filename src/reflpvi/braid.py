@@ -280,25 +280,29 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
 
 
 def orbit_partition(classes: Sequence[TripleClass]) -> List[int]:
-    """Sizes of the full-braid-group orbits on a set of triple classes."""
-    index = {cls.fingerprint.key(): i for i, cls in enumerate(classes)}
+    """Sizes of the full-braid-group orbits on a set of triple classes.
+
+    `classes` is a list as `classify_triples` returns it.  The orbits are
+    the pieces of its class graph: each class's `braid_images` are the
+    positions of the classes of beta1 and beta2 of its representative, so
+    the walk is integer work, with no fingerprint map and no key.  A class
+    whose image is not in the list (None) raises OrbitBoundError.
+    """
     seen = [False] * len(classes)
     sizes = []
-    for i, cls in enumerate(classes):
-        if seen[i]:
+    for start in range(len(classes)):
+        if seen[start]:
             continue
-        rep = orbit(cls.fingerprint, generators="full")
-        count = 0
-        for fp in rep.orbit:
-            j = index.get(fp.key())
-            if j is None:
-                raise OrbitBoundError(
-                    "braid image leaves the supplied class set; "
-                    "classify without first_fixed restriction first")
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-        if count != rep.branches:
-            raise OrbitBoundError("classes duplicate fingerprints in the orbit")
-        sizes.append(rep.branches)
+        seen[start] = True
+        piece = [start]                 # doubles as the walk's queue
+        for c in piece:
+            for d in classes[c].braid_images:
+                if d is None:
+                    raise OrbitBoundError(
+                        "braid image leaves the supplied class set; "
+                        "classify without first_fixed restriction first")
+                if not seen[d]:
+                    seen[d] = True
+                    piece.append(d)
+        sizes.append(len(piece))
     return sorted(sizes)

@@ -121,10 +121,21 @@ def fingerprint_by_indices(group: ReflectionGroup, idx: Tuple[int, int, int]) ->
 
 @dataclass
 class TripleClass:
+    """One fingerprint class of reflection triples, as `classify_triples`
+    returns it.
+
+    `braid_images` are the positions, in the list this class came in, of
+    the classes of beta1 and beta2 of its representative (see
+    `reflpvi.braid`), or None where that class is not in the list.  They
+    are the edges of the class graph that `orbit_partition` walks.  A
+    braid move keeps the subgroup a triple generates, so
+    `generated_order` is one value for every class of a braid orbit.
+    """
     fingerprint: Fingerprint
     representative: Tuple[Mat3, Mat3, Mat3]
     multiplicity: int
     generated_order: int
+    braid_images: Tuple[Optional[int], Optional[int]]
 
     def to_dict(self) -> dict:
         return {
@@ -153,10 +164,11 @@ def classify_triples(group: ReflectionGroup,
 
     With `first_fixed` given, triples (first_fixed, a, b) range over all
     reflection pairs (a, b); otherwise over all reflection triples.
-    Classes come back sorted by fingerprint key, with multiplicities and
-    the order of the subgroup each representative generates; the
-    representative of a class is its first triple in `reflection_indices()`
-    order, first element slowest.
+    Classes come back sorted by fingerprint key, with multiplicities, the
+    order of the subgroup each representative generates and the class
+    graph (`TripleClass.braid_images`); the representative of a class is
+    its first triple in `reflection_indices()` order, first element
+    slowest.
 
     A triple (i, j, k) is keyed by the ids of det(i), det(j), det(k),
     tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji), of which the fingerprint is
@@ -164,8 +176,7 @@ def classify_triples(group: ReflectionGroup,
     where equal values have equal coefficients, so two triples share a key
     exactly when they share a fingerprint.  Products are read off one
     right-multiplication column per reflection (`_Cayley.column`), and so
-    are each class's Fingerprint (`_from_traces`) and generated order
-    (`_Cayley.generated_order`).
+    is each class's Fingerprint (`_from_traces`).
 
     Without `first_fixed`, only the earliest member of each conjugacy class
     C of reflections is scanned as first element, with weight |C| (with it,
@@ -177,6 +188,21 @@ def classify_triples(group: ReflectionGroup,
     earliest member of its class, since each conjugate heads a conjugate
     triple with that key; so the reduced scan finds the full scan's first
     triple of every key, and in the same order.
+
+    The class graph sends each representative (i, j, k) through
+    beta1 = (j, j^-1 i j, k) and beta2 = (i, k, k^-1 j k): the conjugates
+    are two column lookups from one inverse per reflection, and an image's
+    class is the one with its scan key, or None when no class has that key
+    (the first reflection fixed, in a group whose reflections form more
+    than one conjugacy class).  A braid move keeps the subgroup
+    <r1, r2, r3>, since r2^-1 r1 r2 lies in <r1, r2> and r1 in
+    <r2, r2^-1 r1 r2>.  So the generated order is walked
+    (`_Cayley.generated_order`) from the representative of the first class
+    not yet given one, and given to every class the graph reaches from it:
+    once per braid orbit when no image is None.  The image of a
+    representative need not be the representative of its class; that each
+    class's own representative generates a subgroup of the order given is
+    checked on every class of the Table-1 groups by the test suite.
     """
     refl_idx = group.reflection_indices()
     cayley = group.cayley
@@ -213,17 +239,43 @@ def classify_triples(group: ReflectionGroup,
                 else:
                     entry[3] += weight
 
-    refl = dict(zip(refl_idx, group.reflections))
     traces, dets = cayley.traces, cayley.dets
     shared: Dict[tuple, CycloNum] = {}      # one object per value, all at conductor n
-    classes = []
-    for i, j, k, count in found.values():
+    rows = []                               # (fingerprint, scan key, (i, j, k), count)
+    for key, (i, j, k, count) in found.items():
         ci, cj, ck = col[i], col[j], col[k]
         ij = cj[i]
         fp = _from_traces((dets[i], dets[j], dets[k]), (traces[ij], traces[ck[i]], traces[ck[j]]),
                           (traces[ck[ij]], traces[ci[cj[k]]]))
         fp = Fingerprint(*(shared.setdefault((v.nums, v.den), v) for v in fp._values()))
-        classes.append(TripleClass(fp, (refl[i], refl[j], refl[k]), count,
-                                   cayley.generated_order((ci, cj, ck))))
-    classes.sort(key=lambda c: c.fingerprint.key())
-    return classes
+        rows.append((fp, key, (i, j, k), count))
+    rows.sort(key=lambda row: row[0].key())
+
+    # the class graph: beta1 (i, j, k) = (j, j^-1 i j, k), beta2 (i, j, k) =
+    # (i, k, k^-1 j k), looked up by the scan's key of the image
+    position = {row[1]: p for p, row in enumerate(rows)}
+    inv = {r: cayley.inverse(r) for r in refl_idx}
+
+    def class_of(i, j, k):
+        ci, cj, ck = col[i], col[j], col[k]
+        ij = cj[i]
+        return position.get((det[i], det[j], tr[ij], det[k],
+                             tr[ck[i]], tr[ck[j]], tr[ck[ij]], tr[ci[cj[k]]]))
+
+    images = [(class_of(j, col[j][col[i][inv[j]]], k), class_of(i, k, col[k][col[j][inv[k]]]))
+              for _, _, (i, j, k), _ in rows]
+
+    # one generated order per braid orbit, walked from its first class
+    orders = [0] * len(rows)
+    for p, (_, _, (i, j, k), _) in enumerate(rows):
+        if not orders[p]:
+            orders[p] = cayley.generated_order((col[i], col[j], col[k]))
+            piece = [p]
+            for q in piece:
+                for r in images[q]:
+                    if r is not None and not orders[r]:
+                        orders[r] = orders[p]
+                        piece.append(r)
+    refl = dict(zip(refl_idx, group.reflections))
+    return [TripleClass(fp, (refl[i], refl[j], refl[k]), count, order, pair)
+            for (fp, _, (i, j, k), count), order, pair in zip(rows, orders, images)]

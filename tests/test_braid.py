@@ -7,7 +7,9 @@ from reflpvi.braid import (LETTERS, GenusError, OrbitBoundError, braid_act,
                            orbit_partition)
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
+from reflpvi.groups import GroupSpec, build_group
 from reflpvi.linalg3 import Mat3
+from reflpvi.params import DEFAULT_TABLE_SPECS
 
 
 def braid_act_word(word, triple):
@@ -248,6 +250,39 @@ def test_orbit_partition_small(g213):
     classes = classify_triples(g213)
     sizes = orbit_partition(classes)
     assert sum(sizes) == len(classes)
+
+
+@pytest.mark.parametrize("spec, fixed_first",
+                         [(s, False) for s in DEFAULT_TABLE_SPECS]
+                         + [(GroupSpec.exceptional("G336"), True)],
+                         ids=lambda v: v.label() if isinstance(v, GroupSpec)
+                         else ("fixed" if v else "all"))
+def test_class_graph_follows_the_fingerprint_maps(spec, fixed_first):
+    """Each class's braid images are the classes that the fingerprint maps
+    send its fingerprint to, and the generated order given to each braid
+    orbit is that of every representative in it."""
+    group = build_group(spec)
+    classes = classify_triples(group, first_fixed=group.generators[0] if fixed_first else None)
+    cayley = group.cayley
+    cols = {r: cayley.column(r) for r in group.reflection_indices()}
+    for cls in classes:
+        for letter, image in zip(("b1", "b2"), cls.braid_images):
+            assert image is not None
+            assert classes[image].fingerprint == braid_act_quintuple(letter, cls.fingerprint)
+        rep = [cols[group.index_of(r)] for r in cls.representative]
+        assert cls.generated_order == cayley.generated_order(rep)
+
+
+@pytest.mark.parametrize("name", ["g648", "g413"])
+def test_orbit_partition_refuses_classes_braid_moves_leave(name, request):
+    """With the first reflection fixed in a group of two reflection classes,
+    beta1 can move the first reflection into the other class."""
+    group = request.getfixturevalue(name)
+    assert not group.reflections_single_class
+    classes = classify_triples(group, first_fixed=group.generators[0])
+    assert any(image is None for cls in classes for image in cls.braid_images)
+    with pytest.raises(OrbitBoundError):
+        orbit_partition(classes)
 
 
 def test_orbit_bound():

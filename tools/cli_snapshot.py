@@ -45,6 +45,9 @@ COMMANDS = (
        ("orbits-icosahedral", ["orbits", "--spec", "icosahedral"]),
        ("orbits-G336-fix-first", ["orbits", "--spec", "G336", "--fix-first"]),
        ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
+       ("orbits-G2160", ["orbits", "--spec", "G2160"]),
+       ("orbits-G1296", ["orbits", "--spec", "G1296"]),
+       ("orbits-G4-1-3", ["orbits", "--spec", "G(4,1,3)"]),
        ("reproduce-klein", ["reproduce", "klein"]),
        ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
        ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"])]
