@@ -113,24 +113,18 @@ def _act(letter: str, state: tuple, f: Field, inverses: Dict[tuple, tuple]) -> t
     raise ValueError(f"unknown braid letter {letter!r}")
 
 
-def _raw_state(fp: Fingerprint) -> Tuple[int, tuple, Dict[tuple, CycloNum]]:
-    """The common conductor n of fp's values, fp as a raw state at n, and
-    fp's values lifted to n, by raw value."""
+def _raw_state(fp: Fingerprint) -> Tuple[int, tuple]:
+    """The common conductor n of fp's values, and fp as a raw state at n."""
     n = lcm(*(v.n for v in fp._values()))
     values = [v.lift(n) for v in fp._values()]
-    state = tuple((v.nums, v.den) for v in values)
-    return n, state, dict(zip(state, values))
+    return n, tuple((v.nums, v.den) for v in values)
 
 
-def _fingerprints(n: int, states: Sequence[tuple],
-                  objects: Dict[tuple, CycloNum]) -> List[Fingerprint]:
-    """The raw states at conductor n as Fingerprints, with one CycloNum per
-    distinct value: the one in `objects` where there is one."""
-    for state in states:
-        for value in state:
-            if value not in objects:
-                objects[value] = CycloNum(n, value[0], value[1], _normalized=True)
-    return [Fingerprint(*(objects[v] for v in state)) for state in states]
+def _fingerprints(n: int, states: Sequence[tuple]) -> List[Fingerprint]:
+    """The raw states at conductor n as Fingerprints, one new CycloNum per
+    entry; keying them descends each distinct value once (`CycloNum.canonical`)."""
+    return [Fingerprint(*(CycloNum(n, nums, den, _normalized=True) for nums, den in state))
+            for state in states]
 
 
 def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
@@ -140,8 +134,8 @@ def braid_act_quintuple(letter: str, fp: Fingerprint) -> Fingerprint:
     the image has every value at that conductor.  A zero t_i has no
     inverse and raises ZeroDivisionError.
     """
-    n, state, objects = _raw_state(fp)
-    return _fingerprints(n, [_act(letter, state, field(n), {})], objects)[0]
+    n, state = _raw_state(fp)
+    return _fingerprints(n, [_act(letter, state, field(n), {})])[0]
 
 
 @dataclass
@@ -218,14 +212,14 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     the braid maps keep and where coefficients are unique, and the walk
     runs on raw states, the values' (nums, den), which are also its keys.
     The maps only permute t1, t2, t3, so each 1/t_i is made once per walk.
-    The reported Fingerprints share one CycloNum per distinct value, the
-    seed's own where it has the value, so a `key()` of every state descends
-    each value at most once.
+    The reported Fingerprints are built from the raw states, all at that
+    conductor; a `key()` of every state descends each distinct value once,
+    through the value-keyed cache of `CycloNum.canonical`.
     """
     if generators not in ("full", "pure"):
         raise ValueError("generators must be 'full' or 'pure'")
     start = seed if isinstance(seed, Fingerprint) else fingerprint(seed)
-    n, start, objects = _raw_state(start)
+    n, start = _raw_state(start)
     f = field(n)
     inverses: Dict[tuple, tuple] = {}
     letter_words = {
@@ -269,7 +263,7 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
     except GenusError:
         genus = None
     return OrbitReport(
-        orbit=_fingerprints(n, states, objects),
+        orbit=_fingerprints(n, states),
         sigma1=sigma1,
         sigma2=sigma2,
         sigma_prod=sigma_prod,

@@ -38,6 +38,9 @@ SCHEMA = 1
 
 KNOWN_SPECS = ["G(m,1,3)", "G(m,m,3)", "icosahedral", "G336", "G648", "G1296", "G2160"]
 
+# the commands whose output has tabular "rows", the only ones --format csv writes
+TABULAR = {"triples": ("classify",), "params": ("table",), "verify": ("eta-pvi",)}
+
 
 def _emit(payload: dict, args) -> None:
     payload = {"schema": SCHEMA, **payload}
@@ -46,7 +49,9 @@ def _emit(payload: dict, args) -> None:
     elif args.format == "csv":
         rows = payload.get("rows")
         if rows is None:
-            raise SystemExit("csv output needs tabular data; use --format json")
+            # main admits csv for tabular commands only; a check that failed
+            # before making its rows still fails
+            raise SystemExit(f"error: {payload['error']}")
         buf = io.StringIO()
         # rows may differ in keys (a skipped slot has no residual)
         fields = list(dict.fromkeys(k for row in rows for k in row))
@@ -378,9 +383,13 @@ def main(argv=None) -> int:
             parser.error(f"{args.command} {args.action} does not take --spec")
     if args.command == "verify":
         _check_verify_flags(parser, args)
+    leaf = getattr(args, "action", None) or getattr(args, "check", None)
+    if args.format == "csv" and leaf not in TABULAR.get(args.command, ()):
+        parser.error("--format csv needs tabular rows, which only triples classify, "
+                     "params table and verify eta-pvi give; use --format json")
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,11 +141,6 @@ def reduce_power_coeffs(n: int, coeffs: Sequence[int]) -> list:
     return out
 
 
-def dot(n: int, pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> list:
-    """sum x y over integer power-basis pairs at conductor n: `field(n).dot`."""
-    return field(n).dot(pairs)
-
-
 def _normalize(nums: Iterable[int], den: int) -> Tuple[Tuple[int, ...], int]:
     nums = tuple(nums)
     if den < 0:
@@ -233,7 +228,7 @@ def _descent_steps(n: int) -> tuple:
 class CycloNum:
     """An exact element of Q(zeta_n)."""
 
-    __slots__ = ("n", "nums", "den", "_canon")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, nums: Sequence[int], den: int = 1, _normalized: bool = False):
         if n < 1:
@@ -249,7 +244,6 @@ class CycloNum:
         else:
             self.nums, self.den = _normalize(nums, den)
         self.n = n
-        self._canon = None
 
     # -- constructors ---------------------------------------------------
 
@@ -307,24 +301,9 @@ class CycloNum:
         return None
 
     def canonical(self) -> "CycloNum":
-        """Equivalent element at the minimal conductor.
-
-        Descends one prime at a time (`_descend_once`): an integer mat-vec
-        with a precomputed block inverse proposes the coefficients in the
-        sub-field, and an exact lift-and-compare accepts or rejects them.
-        No Fraction arithmetic runs per descent step.
-        """
-        if self._canon is not None:
-            return self._canon
-        cur = self
-        while True:
-            nxt = cur._descend_once()
-            if nxt is None:
-                break
-            cur = nxt
-        self._canon = cur
-        cur._canon = cur
-        return cur
+        """Equivalent element at the minimal conductor, `_canonical` of the
+        value: equal values at one conductor get one shared result object."""
+        return _canonical(self.n, self.nums, self.den)
 
     def key(self):
         c = self.canonical()
@@ -460,6 +439,23 @@ class CycloNum:
         for c in reversed(self.nums):
             acc = acc * z + c
         return acc / self.den
+
+
+@lru_cache(maxsize=None)
+def _canonical(n: int, nums: Tuple[int, ...], den: int) -> CycloNum:
+    """The element nums/den of Q(zeta_n) at its minimal conductor.
+
+    Descends one prime at a time (`CycloNum._descend_once`): an integer
+    mat-vec with a precomputed block inverse proposes the coefficients in
+    the sub-field, and an exact lift-and-compare accepts or rejects them.
+    No Fraction arithmetic runs per descent step.  The cache is keyed by
+    the value's raw (n, nums, den), so each distinct value descends once;
+    like `field`, it is unbounded.
+    """
+    cur = CycloNum(n, nums, den, _normalized=True)
+    while (nxt := cur._descend_once()) is not None:
+        cur = nxt
+    return cur
 
 
 def root_of_unity(n: int, k: int = 1) -> CycloNum:

@@ -45,14 +45,6 @@ class Fingerprint:
     def key(self):
         return tuple(v.key() for v in self._values())
 
-    def __eq__(self, other):
-        # entrywise CycloNum equality needs no descent at a shared conductor
-        return isinstance(other, Fingerprint) and all(
-            a == b for a, b in zip(self._values(), other._values()))
-
-    def __hash__(self):
-        return hash(self.key())
-
     def quintuple(self) -> Tuple[CycloNum, CycloNum, CycloNum, CycloNum, CycloNum]:
         return (self.w, self.x, self.y, self.p, self.q)
 
@@ -240,14 +232,12 @@ def classify_triples(group: ReflectionGroup,
                     entry[3] += weight
 
     traces, dets = cayley.traces, cayley.dets
-    shared: Dict[tuple, CycloNum] = {}      # one object per value, all at conductor n
     rows = []                               # (fingerprint, scan key, (i, j, k), count)
     for key, (i, j, k, count) in found.items():
         ci, cj, ck = col[i], col[j], col[k]
         ij = cj[i]
         fp = _from_traces((dets[i], dets[j], dets[k]), (traces[ij], traces[ck[i]], traces[ck[j]]),
                           (traces[ck[ij]], traces[ci[cj[k]]]))
-        fp = Fingerprint(*(shared.setdefault((v.nums, v.den), v) for v in fp._values()))
         rows.append((fp, key, (i, j, k), count))
     rows.sort(key=lambda row: row[0].key())
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from math import lcm
 from operator import add
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cyclotomic import CycloNum, root_of_unity
 from .linalg3 import Mat3, is_pseudo_reflection, row_map
@@ -204,7 +204,7 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
     return _Cayley(
         n=n, vectors=tuple(vectors), vector_index=vector_index, keys=tuple(keys),
         index=index, right=tuple(tuple(col) for col in right), words=tuple(words),
-        traces=tuple(traces), dets=_shared(dets))
+        traces=tuple(traces), dets=tuple(dets))
 
 
 def enumerate_elements(generators: Sequence[Mat3], bound: int = 1_000_000) -> List[Mat3]:
@@ -282,12 +282,6 @@ def _exceptional_cartan_matrix(name: str) -> List[list]:
 # ---------------------------------------------------------------------------
 # the group object
 # ---------------------------------------------------------------------------
-
-def _shared(values: Iterable[CycloNum]) -> Tuple[CycloNum, ...]:
-    """The values, with equal ones (all at one conductor) sharing one object."""
-    distinct: Dict[tuple, CycloNum] = {}
-    return tuple(distinct.setdefault((v.nums, v.den), v) for v in values)
-
 
 def _reachable(start, moves: Sequence[Callable]) -> set:
     """Everything reachable from `start` under repeated application of `moves`."""

@@ -5,7 +5,7 @@ import pytest
 from reflpvi.braid import (LETTERS, GenusError, OrbitBoundError, braid_act,
                            braid_act_quintuple, cover_genus, cycle_type, orbit,
                            orbit_partition)
-from reflpvi.cyclotomic import CycloNum
+from reflpvi.cyclotomic import CycloNum, _canonical
 from reflpvi.fingerprints import Fingerprint, classify_triples, fingerprint
 from reflpvi.groups import GroupSpec, build_group
 from reflpvi.linalg3 import Mat3
@@ -217,19 +217,17 @@ def test_orbit_squares_from_walk(g648, monkeypatch):
                 assert sigma == tuple(index[fp.key()] for fp in squares)
 
 
-def test_orbit_states_share_one_value_object(g648):
-    """The reported Fingerprints of a walk hold one CycloNum object per
-    distinct value, so keying every state descends each value once."""
-    shared_values = 0
-    for cls in classify_triples(g648):
-        rep = orbit(cls.fingerprint, "pure")
-        objects = {}
+def test_keying_orbit_states_descends_each_value_once(g648):
+    """Keying every state of every pure orbit runs one canonical descent
+    per distinct raw value, though equal values are separate objects."""
+    reports = [orbit(cls.fingerprint, "pure") for cls in classify_triples(g648)]
+    values = {(v.n, v.nums, v.den) for rep in reports for fp in rep.orbit for v in fp._values()}
+    _canonical.cache_clear()
+    for rep in reports:
         for fp in rep.orbit:
-            for v in fp._values():
-                objects.setdefault((v.n, v.nums, v.den), set()).add(id(v))
-        assert all(len(ids) == 1 for ids in objects.values())
-        shared_values += 8 * rep.branches - len(objects)
-    assert shared_values > 0
+            fp.key()
+    assert _canonical.cache_info().misses == len(values)
+    assert len(values) < 8 * sum(rep.branches for rep in reports)
 
 
 def test_orbit_partition(g336):

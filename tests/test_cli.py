@@ -89,6 +89,32 @@ def test_ignored_spec_is_a_usage_error(argv, capsys):
     assert f"{' '.join(argv)} does not take --spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["groups", "info", "--spec", "G336"], "cmd_groups"),
+    (["verify", "schlesinger", "--seed", "1"], "cmd_verify"),
+])
+def test_csv_without_rows_is_a_usage_error(argv, command, capsys, monkeypatch):
+    """Refused before the command runs, so no flow is integrated."""
+    def ran(args):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, command, ran)
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "csv"] + argv)
+    assert exc.value.code == 2
+    assert "--format csv needs tabular rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--output", "{missing}/out.json", "groups", "info", "--spec", "G(2,1,3)"],
+    ["verify", "schlesinger", "--seed", "1", "--dump", "{missing}/traj.csv"],
+])
+def test_unwritable_path_is_an_error(argv, capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    assert main([a.format(missing=missing) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_params_theta(capsys):
     code, out = run_cli(capsys, "params", "theta", "--spec", "G(3,1,3)")
     assert code == 0
@@ -178,6 +204,11 @@ def test_verify_float_layer_reports_refusal(capsys, monkeypatch, check, error):
     assert code == 1
     assert json.loads(out) == {"schema": 1, "check": check, "ok": False,
                                "error": "B4 has no eigenbasis"}
+    if check == "eta-pvi":
+        # csv is admitted for eta-pvi, and a refusal there has no rows
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "csv", "verify", check, "--seed", "1"])
+        assert exc.value.code == "error: B4 has no eigenbasis"
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

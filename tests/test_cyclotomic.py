@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflpvi.cyclotomic import (CycloNum, NotRootOfUnityError,
-                                cyclotomic_polynomial, dot, euler_phi, field,
+                                _canonical, cyclotomic_polynomial, euler_phi, field,
                                 log_root_of_unity, reduce_power_coeffs,
                                 root_of_unity)
 
@@ -176,6 +176,22 @@ def test_descent_direct_cases():
     assert _canonical_triple(q) == (1, 3, (-7,))
 
 
+def test_cyclonum_is_immutable():
+    """key() and canonical() write nothing onto a value, and equal values
+    built separately get one canonical object, from the value-keyed cache."""
+    assert CycloNum.__slots__ == ("n", "nums", "den")
+    values = [root_of_unity(15, 5), root_of_unity(3, 1).lift(15), root_of_unity(15, 1),
+              CycloNum.from_rational(Fraction(-7, 3)).lift(84)]
+    for v in values:
+        before = tuple(getattr(v, slot) for slot in CycloNum.__slots__)
+        v.key()
+        v.canonical()
+        assert tuple(getattr(v, slot) for slot in CycloNum.__slots__) == before
+    a, b = values[0], values[1]
+    assert a is not b and a == b
+    assert a.canonical() is b.canonical()
+
+
 @given(cyclos(), cyclos())
 @settings(max_examples=40, deadline=None)
 def test_complex_embedding_is_ring_hom(a, b):
@@ -202,7 +218,7 @@ def test_dot_matches_complex_sum_of_products(case):
         return sum(c * z ** k for k, c in enumerate(coeffs))
 
     expected = sum(value(x) * value(y) for x, y in pairs)
-    assert abs(CycloNum(n, dot(n, pairs)).to_complex() - expected) < 1e-9
+    assert abs(CycloNum(n, field(n).dot(pairs)).to_complex() - expected) < 1e-9
 
 
 def test_field_is_one_frozen_object_per_conductor():
@@ -233,9 +249,9 @@ def test_field_dot_folds_the_top_exponent(n):
     for count in (1, 2, 3):
         pairs = [(element(), element()) for _ in range(count)]
         expected = sum(_value(n, x) * _value(n, y) for x, y in pairs)
-        assert len(dot(n, pairs)) == phi
-        assert dot(n, pairs) == field(n).dot(pairs)
-        assert abs(_value(n, dot(n, pairs)) - expected) < 1e-6
+        out = field(n).dot(pairs)
+        assert len(out) == phi
+        assert abs(_value(n, out) - expected) < 1e-6
 
 
 @pytest.mark.parametrize("n", [5, 9, 12, 21])
