@@ -9,9 +9,11 @@ Subcommands map one-to-one onto the library's reproducible experiments:
     verify lemma-params | cubic | schlesinger | eta-pvi
     reproduce klein
 
-Exact commands are byte-reproducible; numerical commands are reproducible
-for a fixed --seed.  Exit status: 0 success, 1 failed verification or
-internal invariant, 2 usage errors.
+Each command has its own parser with its own flags, defaults and value
+ranges, so argparse refuses a flag the command would ignore; flags follow
+the command they belong to.  Exact commands are byte-reproducible;
+numerical commands are reproducible for a fixed --seed.  Exit status:
+0 success, 1 failed verification or internal invariant, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
-from .groups import GroupSpec, build_group
+from .groups import EXCEPTIONAL_DATA, GroupSpec, build_group
 from .linalg3 import Mat3
 from .fingerprints import classify_triples
 from .braid import orbit, orbit_partition
@@ -36,10 +38,7 @@ from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
 
 SCHEMA = 1
 
-KNOWN_SPECS = ["G(m,1,3)", "G(m,m,3)", "icosahedral", "G336", "G648", "G1296", "G2160"]
-
-# the commands whose output has tabular "rows", the only ones --format csv writes
-TABULAR = {"triples": ("classify",), "params": ("table",), "verify": ("eta-pvi",)}
+KNOWN_SPECS = ["G(m,1,3)", "G(m,m,3)", *EXCEPTIONAL_DATA]
 
 
 def _emit(payload: dict, args) -> None:
@@ -305,86 +304,81 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: a `kind` value >= low, or > low when strict.
+    NaN compares false either way, so it is refused."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"needs a value {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """One flag, as a parent parser for the commands that take it."""
+    holder = argparse.ArgumentParser(add_help=False)
+    holder.add_argument(*names, **kwargs)
+    return holder
+
+
+def _leaf(commands, name, func, *flags, tabular=False, help=None):
+    """A command with its own flags; tabular commands are the ones --format csv
+    can write, since only they give rows."""
+    leaf = commands.add_parser(name, parents=flags, help=help)
+    leaf.set_defaults(func=func, tabular=tabular)
+    return leaf
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reflpvi",
         description="Complex reflection groups, braid orbits and PVI parameters")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", help="write output to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("groups", help="group catalogue")
-    g.add_argument("action", choices=("list", "info"))
-    g.add_argument("--spec", help="group spec, e.g. G336 or G(3,1,3)")
-    g.set_defaults(func=cmd_groups)
+    def family(name, dest, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
-    t = sub.add_parser("triples", help="classify reflection triples")
-    t.add_argument("action", choices=("classify",))
-    t.add_argument("--spec", required=True)
-    t.add_argument("--fix-first", action="store_true")
-    t.set_defaults(func=cmd_triples)
+    spec = _flag("--spec", required=True, help="group spec, e.g. G336 or G(3,1,3)")
+    fix_first = _flag("--fix-first", action="store_true",
+                      help="fix the first reflection to the first generator")
+    seed = _flag("--seed", type=_bounded(int, 0), default=1)
+    count = _flag("--count", type=_bounded(int, 1), default=100, help="trials")
 
-    o = sub.add_parser("orbits", help="braid orbit decomposition")
-    o.add_argument("--spec", required=True)
-    o.add_argument("--fix-first", action="store_true")
-    o.set_defaults(func=cmd_orbits)
+    groups = family("groups", "action", "group catalogue")
+    _leaf(groups, "list", cmd_groups)
+    _leaf(groups, "info", cmd_groups, spec)
 
-    p = sub.add_parser("params", help="PVI parameters")
-    p.add_argument("action", choices=("table", "theta"))
-    p.add_argument("--spec")
-    p.set_defaults(func=cmd_params)
+    triples = family("triples", "action", "classify reflection triples")
+    _leaf(triples, "classify", cmd_triples, spec, fix_first, tabular=True)
 
-    v = sub.add_parser("verify", help="verification suites")
-    v.add_argument("check", choices=("lemma-params", "cubic", "schlesinger", "eta-pvi"))
-    # None marks "not given", so that a flag the check ignores is refused
-    v.add_argument("--count", type=int,
-                   help="trials (lemma-params, cubic; default 100)")
-    v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--tol", type=float,
-                   help="integration tolerance (schlesinger; default 1e-10)")
-    v.add_argument("--dump", help="write the trajectory samples to this CSV path "
-                                  "(schlesinger)")
-    v.set_defaults(func=cmd_verify)
+    _leaf(commands, "orbits", cmd_orbits, spec, fix_first, help="braid orbit decomposition")
 
-    r = sub.add_parser("reproduce", help="whole-pipeline reproductions")
-    r.add_argument("target", choices=("klein",))
-    r.set_defaults(func=cmd_reproduce)
+    params = family("params", "action", "PVI parameters")
+    _leaf(params, "table", cmd_params, tabular=True)
+    _leaf(params, "theta", cmd_params, spec)
+
+    verify = family("verify", "check", "verification suites")
+    _leaf(verify, "lemma-params", cmd_verify, seed, count)
+    _leaf(verify, "cubic", cmd_verify, seed, count)
+    schlesinger = _leaf(verify, "schlesinger", cmd_verify, seed)
+    schlesinger.add_argument("--tol", type=_bounded(float, 0, strict=True), default=1e-10,
+                             help="integration tolerance")
+    schlesinger.add_argument("--dump", help="write the trajectory samples to this CSV path")
+    _leaf(verify, "eta-pvi", cmd_verify, seed, tabular=True)
+
+    reproduce = family("reproduce", "target", "whole-pipeline reproductions")
+    _leaf(reproduce, "klein", cmd_reproduce)
     return parser
-
-
-def _check_verify_flags(parser, args) -> None:
-    """Refuse a flag the chosen check would ignore or a value out of range,
-    then fill in defaults."""
-    used = {"--count": ("lemma-params", "cubic"),
-            "--tol": ("schlesinger",), "--dump": ("schlesinger",)}
-    for flag, checks in used.items():
-        if getattr(args, flag[2:]) is not None and args.check not in checks:
-            parser.error(f"verify {args.check} does not take {flag}")
-    if args.count is not None and args.count < 1:
-        parser.error(f"verify {args.check} needs --count >= 1")
-    if args.tol is not None and not args.tol > 0:
-        parser.error(f"verify {args.check} needs --tol > 0")
-    if args.seed < 0:
-        parser.error(f"verify {args.check} needs --seed >= 0")
-    if args.count is None:
-        args.count = 100
-    if args.tol is None:
-        args.tol = 1e-10
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("groups", "params"):
-        needs_spec = args.action in ("info", "theta")
-        if needs_spec and not args.spec:
-            parser.error(f"{args.command} {args.action} requires --spec")
-        if not needs_spec and args.spec is not None:
-            parser.error(f"{args.command} {args.action} does not take --spec")
-    if args.command == "verify":
-        _check_verify_flags(parser, args)
-    leaf = getattr(args, "action", None) or getattr(args, "check", None)
-    if args.format == "csv" and leaf not in TABULAR.get(args.command, ()):
+    if args.format == "csv" and not args.tabular:
         parser.error("--format csv needs tabular rows, which only triples classify, "
                      "params table and verify eta-pvi give; use --format json")
     try:

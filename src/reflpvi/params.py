@@ -145,18 +145,13 @@ def canonical_theta(lm: LambdaMu) -> Theta:
     deterministic rule reproduces the published parameter table for all
     standard generating triples.
     """
-    seen = set()
     candidates = []
     for perm in permutations(range(3)):
         mu_a = lm.mus[perm[0]]
         th123 = tuple(_dist_to_int(l - mu_a) for l in lm.lambdas)
         d = abs(lm.mus[perm[1]] - lm.mus[perm[2]])
         d = d - int(d)  # into [0,1)
-        th4 = max(d, 1 - d)
-        cand = (th123, th4)
-        if cand not in seen:
-            seen.add(cand)
-            candidates.append(cand)
+        candidates.append((th123, max(d, 1 - d)))
     ascending = [c for c in candidates
                  if c[0][0] <= c[0][1] <= c[0][2]]
     pool = ascending if ascending else candidates

@@ -165,16 +165,19 @@ def test_criterion_6_braid_consistency(catalogue, klein):
         # fingerprint per index triple serves as source and as image
         fps = {(i, j, k): fingerprint_by_indices(group, (i, j, k))
                for i in refl for j in refl for k in refl}
+        # the braid images of a fingerprint, once per distinct fingerprint
+        b1, b2 = ({fp: braid_act_quintuple(letter, fp) for fp in set(fps.values())}
+                  for letter in ("b1", "b2"))
         for i in refl:
             for j in refl:
                 conj1 = group.product_index(group.product_index(inv[j], i), j)
                 for k in refl:
                     fp = fps[i, j, k]
                     image1 = (j, conj1, k)
-                    ok = ok and fps[image1] == braid_act_quintuple("b1", fp)
+                    ok = ok and fps[image1] == b1[fp]
                     conj2 = group.product_index(group.product_index(inv[k], j), k)
                     image2 = (i, k, conj2)
-                    ok = ok and fps[image2] == braid_act_quintuple("b2", fp)
+                    ok = ok and fps[image2] == b2[fp]
                     if not ok:
                         report(6, False, f"commutation failed at {(i, j, k)}")
     # braid relation and product invariance on 1000 random triples

@@ -64,7 +64,7 @@ def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", check] + flags)
     assert exc.value.code == 2
-    assert f"verify {check} does not take {flags[0]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check, flags", [
@@ -78,7 +78,7 @@ def test_out_of_range_verify_flag_is_a_usage_error(check, flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", check] + flags)
     assert exc.value.code == 2
-    assert f"verify {check} needs {flags[0]}" in capsys.readouterr().err
+    assert f"argument {flags[0]}: needs a value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["groups", "list"], ["params", "table"]])
@@ -86,7 +86,38 @@ def test_ignored_spec_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--spec", "G336"])
     assert exc.value.code == 2
-    assert f"{' '.join(argv)} does not take --spec" in capsys.readouterr().err
+    assert "unrecognized arguments: --spec G336" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["groups", "info"], ["params", "theta"],
+                                  ["triples", "classify"], ["orbits"]])
+def test_missing_spec_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--seed", "1", "schlesinger"],
+                                  ["groups", "--spec", "G336", "info"]])
+def test_flag_before_its_command_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_empty_spec_is_an_unparsable_spec(capsys):
+    assert main(["groups", "info", "--spec", ""]) == 1
+    assert "error: cannot parse group spec ''" in capsys.readouterr().err
+
+
+def test_help_lists_only_the_flags_the_command_takes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "eta-pvi", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--seed" in out
+    assert not any(flag in out for flag in ("--tol", "--count", "--dump"))
 
 
 @pytest.mark.parametrize("argv, command", [

@@ -53,6 +53,14 @@ def test_cli_snapshot_writes_output_and_status_per_command(tmp_path, monkeypatch
     assert "G336" in json.loads((tmp_path / "groups-list.json").read_text())["groups"]
 
 
+def test_cli_snapshot_records_a_refusal_as_empty_output_and_status_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_snapshot, "COMMANDS", [
+        ("refuse-groups-info-no-spec", ["groups", "info"])])
+    assert cli_snapshot.main([str(tmp_path)]) == 0
+    assert (tmp_path / "refuse-groups-info-no-spec.json").read_text() == ""
+    assert (tmp_path / "refuse-groups-info-no-spec.status").read_text() == "2\n"
+
+
 def test_cli_snapshot_needs_one_output_directory(capsys):
     assert cli_snapshot.main([]) == 2
     assert "usage" in capsys.readouterr().err

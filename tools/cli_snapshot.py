@@ -5,11 +5,13 @@
 Runs each command below with the `reflpvi` package of the tree this
 script sits in (its `src/` goes first on PYTHONPATH), one at a time, and
 writes the command's stdout to OUTDIR/<name>.json, then its exit status
-to OUTDIR/<name>.status.  Snapshots of two trees, made on the same
-machine, compare with `diff -r OLD NEW`: every file is the same exactly
-when the commands give byte-identical output.  The numerical `verify`
-commands are included at a fixed seed, so the comparison also covers
-their floating-point results on one machine.
+to OUTDIR/<name>.status.  The `refuse-` commands are usage errors: they
+write no output, so their .json is empty and their .status reads 2.
+Snapshots of two trees, made on the same machine, compare with
+`diff -r OLD NEW`: every file is the same exactly when the commands give
+byte-identical output.  The numerical `verify` commands are included at
+a fixed seed, so the comparison also covers their floating-point results
+on one machine.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def _name(spec: str) -> str:
 COMMANDS = (
     [(f"groups-info-{_name(s)}", ["groups", "info", "--spec", s]) for s in SPECS]
     + [(f"params-theta-{_name(s)}", ["params", "theta", "--spec", s]) for s in SPECS]
-    + [("params-table", ["params", "table"]),
+    + [("groups-list", ["groups", "list"]),
+       ("params-table", ["params", "table"]),
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
        ("triples-G1296", ["triples", "classify", "--spec", "G1296"]),
@@ -49,8 +52,15 @@ COMMANDS = (
        ("orbits-G1296", ["orbits", "--spec", "G1296"]),
        ("orbits-G4-1-3", ["orbits", "--spec", "G(4,1,3)"]),
        ("reproduce-klein", ["reproduce", "klein"]),
+       ("verify-lemma-params", ["verify", "lemma-params", "--count", "20"]),
+       ("verify-cubic", ["verify", "cubic", "--count", "20"]),
        ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
        ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"])]
+    + [("refuse-verify-eta-pvi-tol", ["verify", "eta-pvi", "--tol", "1e-8"]),
+       ("refuse-verify-cubic-count-0", ["verify", "cubic", "--count", "0"]),
+       ("refuse-groups-list-spec", ["groups", "list", "--spec", "G336"]),
+       ("refuse-groups-info-no-spec", ["groups", "info"]),
+       ("refuse-csv-groups-info", ["--format", "csv", "groups", "info", "--spec", "G336"])]
 )
 
 
@@ -68,7 +78,7 @@ def main(argv=None) -> int:
     for name, cmd in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "reflpvi.cli", *cmd],
                               env=env, capture_output=True, text=True)
-        if not proc.stdout:
+        if not proc.stdout and not name.startswith("refuse-"):
             print(f"{name}: no output, exit {proc.returncode}: "
                   f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
             return 1
