@@ -379,10 +379,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and not args.tabular:
-        parser.error("--format csv needs tabular rows, which only triples classify, "
-                     "params table and verify eta-pvi give; use --format json")
+        parser.error("--format csv needs tabular rows, which this command does not "
+                     "give; use --format json")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()        # a closed stdout fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone, as in `reflpvi params table | head -1`:
+        # not an error of the command.  Python's documented idiom: point stdout
+        # at devnull, so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

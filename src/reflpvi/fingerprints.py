@@ -159,16 +159,15 @@ def classify_triples(group: ReflectionGroup,
     Classes come back sorted by fingerprint key, with multiplicities, the
     order of the subgroup each representative generates and the class
     graph (`TripleClass.braid_images`); the representative of a class is
-    its first triple in `reflection_indices()` order, first element
-    slowest.
+    its first triple in `refl_idx` order, first element slowest.
 
     A triple (i, j, k) is keyed by the ids of det(i), det(j), det(k),
     tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji), of which the fingerprint is
     an invertible affine image; all of them sit at the closure conductor,
     where equal values have equal coefficients, so two triples share a key
     exactly when they share a fingerprint.  Products are read off one
-    right-multiplication column per reflection (`_Cayley.column`), and so
-    is each class's Fingerprint (`_from_traces`).
+    right-multiplication column per reflection (`ReflectionGroup.column`),
+    and so is each class's Fingerprint (`_from_traces`).
 
     Without `first_fixed`, only the earliest member of each conjugacy class
     C of reflections is scanned as first element, with weight |C| (with it,
@@ -188,16 +187,16 @@ def classify_triples(group: ReflectionGroup,
     (the first reflection fixed, in a group whose reflections form more
     than one conjugacy class).  A braid move keeps the subgroup
     <r1, r2, r3>, since r2^-1 r1 r2 lies in <r1, r2> and r1 in
-    <r2, r2^-1 r1 r2>.  So the generated order is walked
-    (`_Cayley.generated_order`) from the representative of the first class
-    not yet given one, and given to every class the graph reaches from it:
-    once per braid orbit when no image is None.  The image of a
-    representative need not be the representative of its class; that each
-    class's own representative generates a subgroup of the order given is
-    checked on every class of the Table-1 groups by the test suite.
+    <r2, r2^-1 r1 r2>.  So the generated order is walked on the columns
+    (`ReflectionGroup.generated_order_by_columns`) from the representative
+    of the first class not yet given one, and given to every class the
+    graph reaches from it: once per braid orbit when no image is None.
+    The image of a representative need not be the representative of its
+    class; that each class's own representative generates a subgroup of
+    the order given is checked on every class of the Table-1 groups by the
+    test suite.
     """
-    refl_idx = group.reflection_indices()
-    cayley = group.cayley
+    refl_idx = group.refl_idx
     if first_fixed is not None:
         fi = group.index_of(first_fixed)
         if fi not in refl_idx:
@@ -207,14 +206,13 @@ def classify_triples(group: ReflectionGroup,
         placed, firsts = set(), []                     # firsts: (earliest member, |C|)
         for r in refl_idx:
             if r not in placed:
-                cls = cayley.conjugacy_class(r)
+                cls = group.conjugacy_class(r)
                 placed |= cls
                 firsts.append((r, len(cls)))
 
-    n = cayley.n
-    tr = _interned(cayley.traces, n)
-    det = _interned(cayley.dets, n)
-    col = {r: cayley.column(r) for r in refl_idx}     # col[r][x] = index of x r
+    tr = _interned(group.traces, group.n)
+    det = _interned(group.dets, group.n)
+    col = {r: group.column(r) for r in refl_idx}      # col[r][x] = index of x r
     found: Dict[tuple, list] = {}                      # key -> [i, j, k, count]
     for i, weight in firsts:
         ci = col[i]
@@ -231,7 +229,7 @@ def classify_triples(group: ReflectionGroup,
                 else:
                     entry[3] += weight
 
-    traces, dets = cayley.traces, cayley.dets
+    traces, dets = group.traces, group.dets
     rows = []                               # (fingerprint, scan key, (i, j, k), count)
     for key, (i, j, k, count) in found.items():
         ci, cj, ck = col[i], col[j], col[k]
@@ -244,7 +242,7 @@ def classify_triples(group: ReflectionGroup,
     # the class graph: beta1 (i, j, k) = (j, j^-1 i j, k), beta2 (i, j, k) =
     # (i, k, k^-1 j k), looked up by the scan's key of the image
     position = {row[1]: p for p, row in enumerate(rows)}
-    inv = {r: cayley.inverse(r) for r in refl_idx}
+    inv = {r: group.inverse_index(r) for r in refl_idx}
 
     def class_of(i, j, k):
         ci, cj, ck = col[i], col[j], col[k]
@@ -259,7 +257,7 @@ def classify_triples(group: ReflectionGroup,
     orders = [0] * len(rows)
     for p, (_, _, (i, j, k), _) in enumerate(rows):
         if not orders[p]:
-            orders[p] = cayley.generated_order((col[i], col[j], col[k]))
+            orders[p] = group.generated_order_by_columns((col[i], col[j], col[k]))
             piece = [p]
             for q in piece:
                 for r in images[q]:

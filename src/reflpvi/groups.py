@@ -10,6 +10,13 @@ triple up to conjugacy, so the group comes out in the basis of the
 triple's root vectors.  Every construction is validated at build time by
 its order, its reflection count and the spectrum of the product r1 r2 r3,
 so a transcription slip cannot survive.
+
+A group is one frozen `ReflectionGroup`, which holds its closure as a
+Cayley graph on element indices and answers every group question by
+index: `index_of` a matrix, `product_index`, `inverse_index`,
+`trace_index`, `det_index`, `column` (right multiplication by an element),
+`conjugacy_class` and the generated orders.  An exact matrix is built
+only on request (`element`, `elements`) and for the reflections.
 """
 
 from __future__ import annotations
@@ -140,9 +147,10 @@ def _row_action(n: int, gens: Sequence[Mat3], bound: int):
     return vectors, index, perms
 
 
-def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
+def _close(generators: Sequence[Mat3], bound: int) -> dict:
     """Breadth-first closure of a generating set, kept as its Cayley graph.
 
+    Returns the closure's fields of `ReflectionGroup` (`n` to `dets`).
     The search runs on the permutation action of `_row_action`.  An
     element x is keyed on the indices in S of its own rows e1 x, e2 x,
     e3 x, so the identity is the key of the three unit rows, and a
@@ -201,7 +209,7 @@ def _close(generators: Sequence[Mat3], bound: int) -> "_Cayley":
         if trace is None:
             trace = distinct[raw] = CycloNum(n, raw, den)
         traces.append(trace)
-    return _Cayley(
+    return dict(
         n=n, vectors=tuple(vectors), vector_index=vector_index, keys=tuple(keys),
         index=index, right=tuple(tuple(col) for col in right), words=tuple(words),
         traces=tuple(traces), dets=tuple(dets))
@@ -211,10 +219,10 @@ def enumerate_elements(generators: Sequence[Mat3], bound: int = 1_000_000) -> Li
     """Breadth-first closure of a generating set, identity first.
 
     The closure is `_close` (raising ClosureBoundError past `bound`), and
-    each element's exact matrix is read off its key, `_Cayley.element`.
+    each element's exact matrix is its key's rows of S.
     """
-    cayley = _close(generators, bound)
-    return [cayley.element(i) for i in range(len(cayley))]
+    c = _close(generators, bound)
+    return [Mat3.from_rows(c["n"], [c["vectors"][s] for s in key]) for key in c["keys"]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,67 +307,111 @@ def _reachable(start, moves: Sequence[Callable]) -> set:
     return seen
 
 
+_CLOSURE = dict(repr=False, compare=False)   # index data, out of the group's repr and ==
+
+
 @dataclass(frozen=True)
-class _Cayley:
-    """A group's closure kept as its Cayley graph, by element index.
+class ReflectionGroup:
+    """A validated reflection group; `build_group` makes it in one step.
 
-    Elements are numbered in breadth-first order from the identity, 0.
-    right[g][i] is the index of element i times closure generator g, and
-    element i is the product of the closure generators words[i], left to
-    right, so every group operation below is integer work with no matrix
-    arithmetic.  Element i is stored only as keys[i], the indices in the
-    row orbits `vectors` of its own rows (see `_close`), and `element`
-    rebuilds its exact matrix from them.
+    Elements are numbered in breadth-first closure order from the identity,
+    0, and every group operation is integer work on these indices with no
+    matrix arithmetic: right[g][i] is the index of element i times closure
+    generator g, and element i is the product of the closure generators
+    words[i], left to right.  Element i is stored only as keys[i], the
+    indices in the row orbits `vectors` of its own rows (see `_close`), and
+    `element` rebuilds its exact matrix from them.
     """
-    n: int                                   # the closure conductor
-    vectors: Tuple[tuple, ...]               # the orbits S of e1, e2, e3
-    vector_index: Dict[tuple, int]
-    keys: Tuple[Tuple[int, int, int], ...]
-    index: Dict[tuple, int]                  # keys[i] -> i
-    right: Tuple[Tuple[int, ...], ...]
-    words: Tuple[Tuple[int, ...], ...]
-    traces: Tuple[CycloNum, ...]
-    dets: Tuple[CycloNum, ...]
-
-    def __len__(self) -> int:
-        return len(self.keys)
+    spec: GroupSpec
+    generators: Tuple[Mat3, Mat3, Mat3]          # standard generating triple
+    order: int
+    degrees: Tuple[int, int, int]
+    reflections: Tuple[Mat3, ...]
+    refl_idx: Tuple[int, ...] = field(**_CLOSURE)   # reflections[k] is element refl_idx[k]
+    n: int = field(**_CLOSURE)                      # the closure conductor
+    vectors: Tuple[tuple, ...] = field(**_CLOSURE)  # the orbits S of e1, e2, e3
+    vector_index: Dict[tuple, int] = field(**_CLOSURE)
+    keys: Tuple[Tuple[int, int, int], ...] = field(**_CLOSURE)
+    index: Dict[tuple, int] = field(**_CLOSURE)     # keys[i] -> i
+    right: Tuple[Tuple[int, ...], ...] = field(**_CLOSURE)
+    words: Tuple[Tuple[int, ...], ...] = field(**_CLOSURE)
+    traces: Tuple[CycloNum, ...] = field(**_CLOSURE)
+    dets: Tuple[CycloNum, ...] = field(**_CLOSURE)
 
     def element(self, i: int) -> Mat3:
         """The exact matrix of element i, whose rows are S[a], S[b], S[c]."""
         return Mat3.from_rows(self.n, [self.vectors[s] for s in self.keys[i]])
 
-    def product(self, i: int, j: int) -> int:
+    @property
+    def elements(self) -> Tuple[Mat3, ...]:
+        """All group elements as exact matrices, in closure order with the
+        identity first; element indices refer to this.  Each access builds
+        every element's matrix from its key (`element`)."""
+        return tuple(self.element(i) for i in range(self.order))
+
+    @property
+    def reflections_single_class(self) -> bool:
+        """Whether the reflections form one conjugacy class."""
+        return len(self.conjugacy_class(self.refl_idx[0])) == len(self.reflections)
+
+    def index_of(self, g: Mat3) -> int:
+        try:
+            if g.n != self.n:
+                # a member's entries descend to divisors of n, at any conductor
+                g = Mat3.from_entries([[e.canonical().lift(self.n) for e in row]
+                                       for row in g.entries()])
+            # g is element i when each of its rows e_k g is a vector S[s]
+            # of S and these s form keys[i]
+            return self.index[tuple(self.vector_index[row] for row in g.rows())]
+        except (KeyError, ValueError):
+            raise ValueError("element does not belong to the group") from None
+
+    def product_index(self, i: int, j: int) -> int:
         right = self.right
         for g in self.words[j]:
             i = right[g][i]
         return i
 
-    def inverse(self, i: int) -> int:
+    def inverse_index(self, i: int) -> int:
         # the last power of i before the identity, 0
         prev, x = 0, i
         while x:
-            prev, x = x, self.product(x, i)
+            prev, x = x, self.product_index(x, i)
         return prev
 
+    def trace_index(self, i: int) -> CycloNum:
+        return self.traces[i]
+
+    def det_index(self, i: int) -> CycloNum:
+        return self.dets[i]
+
     def column(self, i: int) -> List[int]:
-        """Right multiplication by element i: column(i)[x] = product(x, i).
+        """Right multiplication by element i: column(i)[x] = product_index(x, i).
 
         The generator columns composed along words[i], |G| lookups a letter.
         """
-        col = range(len(self))
+        col = range(self.order)
         for g in self.words[i]:
             right = self.right[g]
             col = [right[x] for x in col]
         return list(col)
 
     def conjugacy_class(self, i: int) -> frozenset:
+        """Indices of the conjugacy class of element i."""
         # x -> g^-1 x g for the closure generators g, which generate the group
-        conj = [(col, self.inverse(col[0])) for col in self.right]
-        moves = [lambda x, col=col, g_inv=g_inv: col[self.product(g_inv, x)]
+        conj = [(col, self.inverse_index(col[0])) for col in self.right]
+        moves = [lambda x, col=col, g_inv=g_inv: col[self.product_index(g_inv, x)]
                  for col, g_inv in conj]
         return frozenset(_reachable(i, moves))
 
-    def generated_order(self, cols: Sequence[Sequence[int]]) -> int:
+    def generated_order(self, triple: Sequence[Mat3]) -> int:
+        """Order of the subgroup generated by a triple of group elements."""
+        return self.generated_order_by_indices([self.index_of(t) for t in triple])
+
+    def generated_order_by_indices(self, idx: Sequence[int]) -> int:
+        return self.generated_order_by_columns([self.column(i) for i in idx])
+
+    def generated_order_by_columns(self, cols: Sequence[Sequence[int]]) -> int:
         """Order of the subgroup generated by the elements whose right
         multiplications are the columns `cols` (see `column`).
 
@@ -368,7 +420,7 @@ class _Cayley:
         most |G|/2 elements (Lagrange), so once the walk has seen more, the
         subgroup is the whole group.
         """
-        half = len(self) // 2
+        half = self.order // 2
         seen = {0}
         frontier = [0]
         while frontier:
@@ -378,75 +430,11 @@ class _Cayley:
                     y = col[x]
                     if y not in seen:
                         if len(seen) == half:
-                            return len(self)
+                            return self.order
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
         return len(seen)
-
-
-@dataclass(frozen=True)
-class ReflectionGroup:
-    """A validated reflection group; `build_group` makes it in one step."""
-    spec: GroupSpec
-    generators: Tuple[Mat3, Mat3, Mat3]          # standard generating triple
-    order: int
-    degrees: Tuple[int, int, int]
-    reflections: Tuple[Mat3, ...]
-    reflections_single_class: bool
-    cayley: _Cayley = field(repr=False, compare=False)
-    # reflections[k] is element refl_idx[k]
-    refl_idx: Tuple[int, ...] = field(repr=False, compare=False)
-
-    @property
-    def elements(self) -> Tuple[Mat3, ...]:
-        """All group elements as exact matrices, in closure order with the
-        identity first; element indices refer to this.  Each access builds
-        every element's matrix from its key (`_Cayley.element`)."""
-        return tuple(self.cayley.element(i) for i in range(self.order))
-
-    # -- index-level operations, answered from the Cayley graph -------------
-
-    def index_of(self, g: Mat3) -> int:
-        c = self.cayley
-        try:
-            if g.n != c.n:
-                # a member's entries descend to divisors of n, at any conductor
-                g = Mat3.from_entries([[e.canonical().lift(c.n) for e in row]
-                                       for row in g.entries()])
-            # g is element i when each of its rows e_k g is a vector S[s]
-            # of S and these s form keys[i]
-            return c.index[tuple(c.vector_index[row] for row in g.rows())]
-        except (KeyError, ValueError):
-            raise ValueError("element does not belong to the group") from None
-
-    def product_index(self, i: int, j: int) -> int:
-        return self.cayley.product(i, j)
-
-    def inverse_index(self, i: int) -> int:
-        return self.cayley.inverse(i)
-
-    def trace_index(self, i: int) -> CycloNum:
-        return self.cayley.traces[i]
-
-    def det_index(self, i: int) -> CycloNum:
-        return self.cayley.dets[i]
-
-    def reflection_indices(self) -> List[int]:
-        return list(self.refl_idx)
-
-    def conjugacy_class(self, i: int) -> frozenset:
-        """Indices of the conjugacy class of element i."""
-        return self.cayley.conjugacy_class(i)
-
-    def generated_order(self, triple: Sequence[Mat3]) -> int:
-        """Order of the subgroup generated by a triple of group elements."""
-        idx = [self.index_of(t) for t in triple]
-        return self.generated_order_by_indices(idx)
-
-    def generated_order_by_indices(self, idx: Sequence[int]) -> int:
-        c = self.cayley
-        return c.generated_order([c.column(i) for i in idx])
 
     def to_dict(self) -> dict:
         return {
@@ -490,7 +478,8 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     rows, with their traces and determinants.  The reflections are the
     elements other than the identity with trace = det + 2, so only the
     three generators, checked before the closure shows the group finite,
-    go through `is_pseudo_reflection`.
+    go through `is_pseudo_reflection`.  The spectrum of r1 r2 r3 is checked
+    on the group once it is built, by element index.
     """
     expected = spec.expected_order()
     degrees = spec.degrees()
@@ -498,13 +487,14 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     if any(is_pseudo_reflection(r) is None for r in triple):
         raise GroupValidationError(f"{spec.label()}: generators are not all reflections")
     try:
-        cayley = _close(triple, bound=expected)
+        closure = _close(triple, bound=expected)
     except ClosureBoundError:
         raise GroupValidationError(
             f"{spec.label()}: generating set overruns order {expected}") from None
-    if len(cayley) != expected:
+    keys, vectors = closure["keys"], closure["vectors"]
+    if len(keys) != expected:
         raise GroupValidationError(
-            f"{spec.label()}: generating set closes to order {len(cayley)}, "
+            f"{spec.label()}: generating set closes to order {len(keys)}, "
             f"expected {expected}")
     # In a finite group, x != 1 is a pseudo-reflection iff tr x = det x + 2:
     # x is diagonalisable with root-of-unity eigenvalues, so tr x^-1 is the
@@ -512,12 +502,12 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     # det(z - x) = (z - 1)^2 (z - det x).  det + 2 is made once per distinct det.
     plus_two: Dict[tuple, CycloNum] = {}
     matrices = {}
-    for i, (t, d) in enumerate(zip(cayley.traces, cayley.dets)):
+    for i, (t, d) in enumerate(zip(closure["traces"], closure["dets"])):
         target = plus_two.get((d.nums, d.den))
         if target is None:
             target = plus_two[(d.nums, d.den)] = d + 2
         if i and t == target:
-            matrices[i] = cayley.element(i)
+            matrices[i] = Mat3.from_rows(closure["n"], [vectors[s] for s in keys[i]])
     # sorted by matrix key, the order `reflections_of` gives
     refl_idx = sorted(matrices, key=lambda i: matrices[i].key())
     refl = [matrices[i] for i in refl_idx]
@@ -527,28 +517,20 @@ def build_group(spec: GroupSpec) -> ReflectionGroup:
     d1, d2, d3 = degrees
     if d1 * d2 * d3 != expected:
         raise GroupValidationError(f"{spec.label()}: degree product mismatch")
+    group = ReflectionGroup(spec=spec, generators=triple, order=expected, degrees=degrees,
+                            reflections=tuple(refl), refl_idx=tuple(refl_idx), **closure)
 
     # element 0 is the identity and right[g] multiplies by generator g, so
     # the product walks three columns; det(m), tr(m) and e2(m) = det(m)
     # tr(m^-1) give its characteristic polynomial
     m = 0
-    for col in cayley.right:
+    for col in group.right:
         m = col[m]
     z1, z2, z3 = (root_of_unity(d3, d - 1) for d in degrees)
-    det = cayley.dets[m]
-    if (cayley.traces[m] != z1 + z2 + z3 or det != z1 * z2 * z3
-            or det * cayley.traces[cayley.inverse(m)] != z1 * z2 + z1 * z3 + z2 * z3):
+    det = group.dets[m]
+    if (group.traces[m] != z1 + z2 + z3 or det != z1 * z2 * z3
+            or det * group.traces[group.inverse_index(m)] != z1 * z2 + z1 * z3 + z2 * z3):
         raise GroupValidationError(
             f"{spec.label()}: r1 r2 r3 does not have the eigenvalues "
             f"zeta_{d3}^(d_i - 1) of the degrees {degrees}")
-
-    return ReflectionGroup(
-        spec=spec,
-        generators=triple,
-        order=expected,
-        degrees=degrees,
-        reflections=tuple(refl),
-        reflections_single_class=len(cayley.conjugacy_class(refl_idx[0])) == len(refl),
-        cayley=cayley,
-        refl_idx=tuple(refl_idx),
-    )
+    return group

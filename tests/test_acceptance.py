@@ -159,7 +159,7 @@ def test_criterion_6_braid_consistency(catalogue, klein):
     # fingerprint o beta = beta-hat o fingerprint on every reflection triple;
     # G(3,1,3) mixes order-2 and order-3 reflections
     for group in (klein, g213, catalogue[0]["G(3,1,3)"]):
-        refl = group.reflection_indices()
+        refl = group.refl_idx
         inv = {j: group.inverse_index(j) for j in refl}
         # the images are reflection triples of the same group: one
         # fingerprint per index triple serves as source and as image

@@ -261,14 +261,13 @@ def test_class_graph_follows_the_fingerprint_maps(spec, fixed_first):
     orbit is that of every representative in it."""
     group = build_group(spec)
     classes = classify_triples(group, first_fixed=group.generators[0] if fixed_first else None)
-    cayley = group.cayley
-    cols = {r: cayley.column(r) for r in group.reflection_indices()}
+    cols = {r: group.column(r) for r in group.refl_idx}
     for cls in classes:
         for letter, image in zip(("b1", "b2"), cls.braid_images):
             assert image is not None
             assert classes[image].fingerprint == braid_act_quintuple(letter, cls.fingerprint)
         rep = [cols[group.index_of(r)] for r in cls.representative]
-        assert cls.generated_order == cayley.generated_order(rep)
+        assert cls.generated_order == group.generated_order_by_columns(rep)
 
 
 @pytest.mark.parametrize("name", ["g648", "g413"])

@@ -252,17 +252,35 @@ print(sys.argv[1] in sys.modules, code, file=sys.stderr)
 """
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 @pytest.mark.parametrize("module, argv", [
     ("numpy", ["groups", "info", "--spec", "G336"]),
     ("scipy", ["verify", "schlesinger", "--seed", "1"]),
 ])
 def test_command_does_not_import(module, argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, module, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _PROBE, module, *argv], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "False 0", proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_not_an_error(unbuffered):
+    """As in `reflpvi params table | head -1`, the reader of stdout is gone.
+    Unbuffered, the write fails inside the command; buffered, the table
+    stays in the buffer until the flush after it."""
+    env = {**_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "reflpvi.cli", "params", "table"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()           # before the command has written anything
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 def test_orbits_fix_first_refuses_several_reflection_classes(capsys, monkeypatch):

@@ -61,7 +61,7 @@ def test_component_permutation_changes_fingerprint(g336):
 
 def test_fingerprint_by_indices_agrees(g336):
     rng = random.Random(4)
-    refl = g336.reflection_indices()
+    refl = g336.refl_idx
     els = g336.elements
     for _ in range(10):
         idx = (rng.choice(refl), rng.choice(refl), rng.choice(refl))
@@ -101,7 +101,7 @@ def test_first_fixed_must_be_reflection(g336):
 def _bucketed(group, firsts):
     """Classes by bucketing every triple on its full Fingerprint key, with
     generated orders from a breadth-first walk on `product_index`."""
-    refl = group.reflection_indices()
+    refl = group.refl_idx
     buckets = {}
     for i in firsts:
         for j in refl:
@@ -137,7 +137,7 @@ def _bucketed(group, firsts):
 def test_classify_matches_fingerprint_buckets(spec, fixed_first):
     group = build_group(spec)
     first = group.generators[0] if fixed_first else None
-    firsts = [group.index_of(first)] if fixed_first else group.reflection_indices()
+    firsts = [group.index_of(first)] if fixed_first else group.refl_idx
     classes = classify_triples(group, first_fixed=first)
     expected = _bucketed(group, firsts)
     els = group.elements

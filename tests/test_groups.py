@@ -245,7 +245,7 @@ def test_row_map_matches_the_matrix_product(table1_groups):
     dens = set()
     rng = random.Random(3)
     for label in ("G(4,1,3)", "G336", "G648", "G2160"):
-        c = table1_groups[label].cayley
+        c = table1_groups[label]
         d = len(c.vectors[0][1][0])
         zero = (1, ((0,) * d,) * 3)
         mats = [g.lift(c.n) for g in _generating_set(GroupSpec.parse(label))]
@@ -263,13 +263,29 @@ def test_row_map_matches_the_matrix_product(table1_groups):
 @pytest.mark.parametrize("label", [spec.label() for spec in DEFAULT_TABLE_SPECS])
 def test_reflection_prescan_finds_reflections_and_identity(table1_groups, label):
     group = table1_groups[label]
-    c = group.cayley
-    candidates = {i for i in range(len(c)) if c.traces[i] == c.dets[i] + 2}
-    assert candidates == set(group.reflection_indices()) | {0}
-    assert group.reflection_indices() == [group.index_of(r) for r in group.reflections]
+    candidates = {i for i in range(group.order) if group.traces[i] == group.dets[i] + 2}
+    assert candidates == set(group.refl_idx) | {0}
+    assert list(group.refl_idx) == [group.index_of(r) for r in group.reflections]
     # build_group reads the reflections off trace = det + 2; the adjugate
     # test of `is_pseudo_reflection` on every element is the independent check
     assert reflections_of(group.elements) == list(group.reflections)
+
+
+# whether the reflections form one conjugacy class: G(m,1,3) has the
+# transpositions and the diagonal reflections, G648 and G1296 two classes too
+_SINGLE_CLASS = {"G(3,3,3)": True, "G(4,4,3)": True, "G(5,5,3)": True, "G(6,6,3)": True,
+                 "G(3,1,3)": False, "G(4,1,3)": False, "G(5,1,3)": False, "G(6,1,3)": False,
+                 "icosahedral": True, "G336": True, "G648": False, "G1296": False,
+                 "G2160": True}
+
+
+@pytest.mark.parametrize("label", [spec.label() for spec in DEFAULT_TABLE_SPECS])
+def test_reflections_single_class_matches_exact_conjugation(table1_groups, label):
+    group = table1_groups[label]
+    r = group.reflections[0]
+    conjugates = {(x.inverse() * r * x).key() for x in group.elements}
+    single = conjugates == {s.key() for s in group.reflections}
+    assert group.reflections_single_class == single == _SINGLE_CLASS[label]
 
 
 @pytest.mark.parametrize("label", ["G336", "G2160"])
@@ -286,9 +302,9 @@ def test_only_the_generators_get_the_reflection_test(monkeypatch, label):
 
 def test_index_of_refuses_a_singular_matrix(g336):
     # every row of this matrix is e1, a vector of S, but no element has it
-    e1 = Mat3.identity(g336.cayley.n).rows()[0]
+    e1 = Mat3.identity(g336.n).rows()[0]
     with pytest.raises(ValueError, match="does not belong"):
-        g336.index_of(Mat3.from_rows(g336.cayley.n, [e1, e1, e1]))
+        g336.index_of(Mat3.from_rows(g336.n, [e1, e1, e1]))
 
 
 # -- the row-action closure against an exact one -----------------------------
@@ -363,11 +379,12 @@ def _exact_close(generators, bound):
 def _same_closure(generators, bound):
     got = _close(generators, bound)
     keys, right, words, dets, traces = _exact_close(generators, bound)
-    assert [got.element(i).key() for i in range(len(got))] == keys
-    assert [list(col) for col in got.right] == right
-    assert list(got.words) == words
-    assert [d.key() for d in got.dets] == [d.key() for d in dets]
-    assert [(t.n, t.nums, t.den) for t in got.traces] == traces
+    assert [Mat3.from_rows(got["n"], [got["vectors"][s] for s in key]).key()
+            for key in got["keys"]] == keys
+    assert [list(col) for col in got["right"]] == right
+    assert list(got["words"]) == words
+    assert [d.key() for d in got["dets"]] == [d.key() for d in dets]
+    assert [(t.n, t.nums, t.den) for t in got["traces"]] == traces
 
 
 _CLOSURE_SPECS = ["G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)",
@@ -401,7 +418,7 @@ def _reducible_sets():
 @pytest.mark.parametrize("gens, order", list(_reducible_sets()))
 def test_closure_of_reducible_sets_matches_exact(gens, order):
     _same_closure(gens, order)
-    assert len(_close(gens, order)) == order
+    assert len(_close(gens, order)["keys"]) == order
     with pytest.raises(ClosureBoundError):
         _close(gens, order - 1)
 

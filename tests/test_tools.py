@@ -44,10 +44,11 @@ def test_cli_snapshot_writes_output_and_status_per_command(tmp_path, monkeypatch
         ("groups-info-G2-2-3", ["groups", "info", "--spec", "G(2,2,3)"])])
     assert cli_snapshot.main([str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "groups-info-G2-2-3.json", "groups-info-G2-2-3.status",
-        "groups-list.json", "groups-list.status"]
+        "groups-info-G2-2-3.err", "groups-info-G2-2-3.json", "groups-info-G2-2-3.status",
+        "groups-list.err", "groups-list.json", "groups-list.status"]
     for name in ("groups-list", "groups-info-G2-2-3"):
         assert (tmp_path / f"{name}.status").read_text() == "0\n"
+        assert (tmp_path / f"{name}.err").read_text() == ""
     info = json.loads((tmp_path / "groups-info-G2-2-3.json").read_text())
     assert (info["spec"], info["order"], info["reflections"]) == ("G(2,2,3)", 24, 6)
     assert "G336" in json.loads((tmp_path / "groups-list.json").read_text())["groups"]
@@ -59,6 +60,25 @@ def test_cli_snapshot_records_a_refusal_as_empty_output_and_status_2(tmp_path, m
     assert cli_snapshot.main([str(tmp_path)]) == 0
     assert (tmp_path / "refuse-groups-info-no-spec.json").read_text() == ""
     assert (tmp_path / "refuse-groups-info-no-spec.status").read_text() == "2\n"
+    assert "the following arguments are required: --spec" in \
+        (tmp_path / "refuse-groups-info-no-spec.err").read_text()
+
+
+def test_cli_snapshot_records_the_single_class_warning_and_refusal(tmp_path, monkeypatch):
+    """The two commands that read `reflections_single_class` as False."""
+    monkeypatch.setattr(cli_snapshot, "COMMANDS", [
+        (name, cmd) for name, cmd in cli_snapshot.COMMANDS
+        if name in ("triples-G648-fix-first", "refuse-orbits-G648-fix-first")])
+    assert cli_snapshot.main([str(tmp_path)]) == 0
+    warned, refused = "triples-G648-fix-first", "refuse-orbits-G648-fix-first"
+    assert (tmp_path / f"{warned}.status").read_text() == "0\n"
+    assert json.loads((tmp_path / f"{warned}.json").read_text())["group"] == "G648"
+    assert (tmp_path / f"{warned}.err").read_text().startswith(
+        "warning: reflections form more than one conjugacy class")
+    assert (tmp_path / f"{refused}.status").read_text() == "1\n"
+    assert (tmp_path / f"{refused}.json").read_text() == ""
+    assert (tmp_path / f"{refused}.err").read_text().startswith(
+        "error: G648: --fix-first needs the reflections")
 
 
 def test_cli_snapshot_needs_one_output_directory(capsys):

@@ -4,9 +4,12 @@
 
 Runs each command below with the `reflpvi` package of the tree this
 script sits in (its `src/` goes first on PYTHONPATH), one at a time, and
-writes the command's stdout to OUTDIR/<name>.json, then its exit status
-to OUTDIR/<name>.status.  The `refuse-` commands are usage errors: they
-write no output, so their .json is empty and their .status reads 2.
+writes the command's stdout to OUTDIR/<name>.json, its stderr to
+OUTDIR/<name>.err and its exit status to OUTDIR/<name>.status.  The
+`refuse-` commands write no output, so their .json is empty: the usage
+errors exit 2, and `orbits --spec G648 --fix-first`, which the command
+itself refuses since G648's reflections form two conjugacy classes, exits
+1.  Every other command must write output.
 Snapshots of two trees, made on the same machine, compare with
 `diff -r OLD NEW`: every file is the same exactly when the commands give
 byte-identical output.  The numerical `verify` commands are included at
@@ -40,7 +43,9 @@ COMMANDS = (
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
        ("triples-G1296", ["triples", "classify", "--spec", "G1296"]),
-       ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"])]
+       ("triples-G2160-fix-first", ["triples", "classify", "--spec", "G2160", "--fix-first"]),
+       # warns on stderr that its reflections form more than one class
+       ("triples-G648-fix-first", ["triples", "classify", "--spec", "G648", "--fix-first"])]
     + [(f"triples-{_name(s)}", ["triples", "classify", "--spec", s])
        for s in ("G336", "icosahedral", "G(4,1,3)", "G2160")]
     + [("orbits-G648", ["orbits", "--spec", "G648"]),
@@ -60,7 +65,8 @@ COMMANDS = (
        ("refuse-verify-cubic-count-0", ["verify", "cubic", "--count", "0"]),
        ("refuse-groups-list-spec", ["groups", "list", "--spec", "G336"]),
        ("refuse-groups-info-no-spec", ["groups", "info"]),
-       ("refuse-csv-groups-info", ["--format", "csv", "groups", "info", "--spec", "G336"])]
+       ("refuse-csv-groups-info", ["--format", "csv", "groups", "info", "--spec", "G336"]),
+       ("refuse-orbits-G648-fix-first", ["orbits", "--spec", "G648", "--fix-first"])]
 )
 
 
@@ -83,6 +89,7 @@ def main(argv=None) -> int:
                   f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
             return 1
         (out / f"{name}.json").write_text(proc.stdout)
+        (out / f"{name}.err").write_text(proc.stderr)
         (out / f"{name}.status").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
     return 0
