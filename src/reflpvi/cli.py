@@ -10,10 +10,21 @@ Subcommands map one-to-one onto the library's reproducible experiments:
     reproduce klein
 
 Each command has its own parser with its own flags, defaults and value
-ranges, so argparse refuses a flag the command would ignore; flags follow
-the command they belong to.  Exact commands are byte-reproducible;
-numerical commands are reproducible for a fixed --seed.  Exit status:
-0 success, 1 failed verification or internal invariant, 2 usage errors.
+ranges, so argparse refuses a flag the command would ignore, with the
+command's own usage line; flags follow the command they belong to.  Exact
+commands are byte-reproducible; numerical commands are reproducible for a
+fixed --seed.  Exit status: 0 success, 1 failed verification or internal
+invariant, 2 usage errors.
+
+The verify checks:
+
+    lemma-params  f^2 of the (lambda, mu) cubic is the theta form, exactly
+    cubic         the cubic constants hold on a rational matrix, and every
+                  residue sample built from them has -B4 with spectrum mu
+    schlesinger   the G336 Schlesinger flow keeps its eigenvalues and
+                  follows the reduced (x, y) flow
+    eta-pvi       the slot roots eta of that flow solve PVI under exactly
+                  one order of the mu's
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ from .fingerprints import classify_triples
 from .braid import orbit, orbit_partition
 from .params import (LambdaMu, lambda_mu_of_triple, canonical_theta, pvi_abcd,
                      random_lambda_mu, table1, theta_map, f_squared,
-                     f_hitchin_squared, CubicForm, normalize_cubic)
+                     f_hitchin_squared, CubicForm, normalize_cubic,
+                     cubic_coeffs_from_sums)
 
 SCHEMA = 1
 
@@ -188,13 +200,42 @@ def cmd_verify(args) -> int:
         _emit({"check": "lemma-params", "ok": True, "trials": args.count}, args)
         return 0
     if args.check == "cubic":
-        from .verification import cubic_rank_one_exact, cubic_rank_one_float
+        # exact side: the constants of a random rational matrix with diagonal
+        # lambda, fed its Tr(M^2) and det M, give c = w + x + y and
+        # p + q = a x + b y + k
         for trial in range(args.count):
-            if not cubic_rank_one_exact(rng):
+            lam = random_lambda_mu(rng).lambdas
+            b12, b21, b13, b31, b23, b32 = (
+                Fraction(rng.randrange(-6, 7), rng.randrange(1, 6)) for _ in range(6))
+            m = Mat3.from_rationals([[lam[0], b12, b13], [b21, lam[1], b23],
+                                     [b31, b32, lam[2]]])
+            a, b, k, c = cubic_coeffs_from_sums(lam, (m * m).trace().is_rational(),
+                                                m.det().is_rational())
+            w, x, y = b12 * b21, b13 * b31, b23 * b32
+            p, q = b12 * b23 * b31, b13 * b32 * b21
+            if c != w + x + y or p + q != a * x + b * y + k:
                 _emit({"check": "cubic", "ok": False, "trial": trial,
                        "side": "exact"}, args)
                 return 1
-        float_err = cubic_rank_one_float(seed=args.seed, count=args.count)
+        # float side: the residue sampler builds B4 from `cubic_coeffs`, and
+        # -B4 must have the spectrum mu; clustered mu make that comparison
+        # ill-conditioned, so they are drawn again
+        from .schlesinger import DegenerateSampleError, _b4_eig_error, sample_residues
+        float_err = 0.0
+        trial = 0
+        while trial < args.count:
+            lm = random_lambda_mu(rng)
+            mus = sorted(lm.mus)
+            if min(mus[1] - mus[0], mus[2] - mus[1]) < Fraction(1, 10):
+                continue
+            try:
+                config = sample_residues(lm, seed=rng.randrange(2 ** 32))
+            except DegenerateSampleError as exc:
+                _emit({"check": "cubic", "ok": False, "trial": trial,
+                       "side": "float", "error": str(exc)}, args)
+                return 1
+            float_err = max(float_err, _b4_eig_error(config.b4, lm))
+            trial += 1
         if float_err >= 1e-10:
             _emit({"check": "cubic", "ok": False, "side": "float",
                    "max_error": float_err}, args)
@@ -316,6 +357,18 @@ def _bounded(kind, low, strict=False):
     return parse
 
 
+class _Command(argparse.ArgumentParser):
+    """A command's parser.  It refuses a flag it does not take itself, with
+    its own usage line; argparse would hand the flag up to the top-level
+    parser, whose usage does not say which flags the command takes."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
     """One flag, as a parent parser for the commands that take it."""
     holder = argparse.ArgumentParser(add_help=False)
@@ -337,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complex reflection groups, braid orbits and PVI parameters")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", help="write output to this path")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     def family(name, dest, help):
         return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)

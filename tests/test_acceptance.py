@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import permutations
 
 import pytest
 
+from reflpvi import cli
 from reflpvi.braid import braid_act, braid_act_quintuple, orbit, orbit_partition
 from reflpvi.cyclotomic import CycloNum
 from reflpvi.fingerprints import classify_triples, fingerprint, fingerprint_by_indices
@@ -21,7 +23,6 @@ from reflpvi.params import (LambdaMu, canonical_theta, f_hitchin_squared,
 from reflpvi.schlesinger import (diagonalize_gauge, eta_pvi_residual,
                                  integrate_schlesinger, reduced_flow_compare,
                                  sample_residues)
-from reflpvi.verification import cubic_rank_one_exact, cubic_rank_one_float
 
 
 def braid_act_word(word, triple):
@@ -136,11 +137,12 @@ def test_criterion_4_lemma_params():
     report(4, ok, f"squared-flow identity exact for 100 samples x 6 permutations in {elapsed:.1f}s (< 30 s)")
 
 
-def test_criterion_5_cubic_algebra():
+def test_criterion_5_cubic_algebra(capsys):
+    code = cli.main(["verify", "cubic", "--seed", "5", "--count", "100"])
+    payload = json.loads(capsys.readouterr().out)
+    float_err = payload["float_max_error"]
+    ok = code == 0 and payload["ok"] and float_err < 1e-10
     rng = random.Random(99)
-    ok = all(cubic_rank_one_exact(rng) for _ in range(100))
-    float_err = cubic_rank_one_float(seed=5, count=100)
-    ok = ok and float_err < 1e-10
     # normal form round-trips exactly, and the theta cubic of every mu order
     # has the normal form of the (lambda, mu) cubic
     for _ in range(20):

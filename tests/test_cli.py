@@ -64,7 +64,10 @@ def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", check] + flags)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the command's own usage line, which names the flags it does take
+    assert err.startswith(f"usage: reflpvi verify {check} [-h]"), err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 @pytest.mark.parametrize("check, flags", [
@@ -86,7 +89,9 @@ def test_ignored_spec_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--spec", "G336"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --spec G336" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: reflpvi {' '.join(argv)} [-h]\n"), err
+    assert "unrecognized arguments: --spec G336" in err
 
 
 @pytest.mark.parametrize("argv", [["groups", "info"], ["params", "theta"],
@@ -175,6 +180,17 @@ def test_verify_cubic(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["float_max_error"] < 1e-10
+
+
+def test_verify_cubic_refuses_wrong_cubic_constants(capsys, monkeypatch):
+    """The residue sampler builds every float sample from `cubic_coeffs`:
+    shifted constants give no B4 with the spectrum mu."""
+    right = schlesinger.cubic_coeffs
+    monkeypatch.setattr(schlesinger, "cubic_coeffs", lambda lm: tuple(v + 1 for v in right(lm)))
+    code, out = run_cli(capsys, "verify", "cubic", "--count", "2")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "check": "cubic", "ok": False, "side": "float",
+                               "trial": 0, "error": "no valid sample after 50 draws"}
 
 
 def test_verify_cubic_refuses_a_wrong_theta_cubic(capsys, monkeypatch):

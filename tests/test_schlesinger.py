@@ -1,6 +1,8 @@
 import cmath
+import json
 import time
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from fractions import Fraction
 from scipy.integrate import RK45, solve_ivp
 
 from reflpvi import rk45, schlesinger
-from reflpvi.params import LambdaMu, cubic_coeffs, pvi_abcd, theta_map
+from reflpvi.groups import GroupSpec, build_group
+from reflpvi.params import LambdaMu, cubic_coeffs, lambda_mu_of_triple, pvi_abcd, theta_map
 from reflpvi.schlesinger import (DegenerateSampleError, PathError,
                                  ReducedFlowReport, Trajectory,
                                  diagonalize_gauge, eta_pvi_residual,
@@ -35,6 +38,19 @@ TABLE1_LM = {
     "G1296": ((F(1, 2), F(2, 3), F(2, 3)), (F(5, 18), F(11, 18), F(17, 18))),
     "G2160": ((F(1, 2), F(1, 2), F(1, 2)), (F(1, 6), F(11, 30), F(29, 30))),
 }
+
+_FROZEN_LM = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "lambda_mu.json"
+
+
+def test_table1_lambda_mu_copies_match_the_exact_layer():
+    """TABLE1_LM and the benchmark's frozen copy are the (lambda, mu) of each
+    row's standard triple."""
+    frozen = {row["group"]: (tuple(map(F, row["lambda"])), tuple(map(F, row["mu"])))
+              for row in json.loads(_FROZEN_LM.read_text())}
+    assert set(frozen) == set(TABLE1_LM) and len(TABLE1_LM) == 13
+    for group, copy in TABLE1_LM.items():
+        lm = lambda_mu_of_triple(build_group(GroupSpec.parse(group)).generators)
+        assert copy == frozen[group] == (lm.lambdas, lm.mus), group
 
 
 @pytest.fixture(scope="module")

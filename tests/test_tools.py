@@ -1,11 +1,14 @@
 """The scripts under tools/, on inputs small enough for the suite."""
 
+import argparse
 import json
 import sys
 from importlib import metadata
 from pathlib import Path
 
 import pytest
+
+from reflpvi import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
@@ -84,3 +87,21 @@ def test_cli_snapshot_records_the_single_class_warning_and_refusal(tmp_path, mon
 def test_cli_snapshot_needs_one_output_directory(capsys):
     assert cli_snapshot.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def _leaves(parser, path=()):
+    """The command paths of a parser's leaves, such as ("groups", "list")."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [path]
+    return [leaf for action in subparsers for name, sub in action.choices.items()
+            for leaf in _leaves(sub, path + (name,))]
+
+
+def test_cli_snapshot_runs_every_command():
+    leaves = _leaves(cli.build_parser())
+    assert ("verify", "cubic") in leaves and ("orbits",) in leaves
+    for leaf in leaves:
+        n = len(leaf)
+        assert any(list(leaf) == cmd[i:i + n] for _, cmd in cli_snapshot.COMMANDS
+                   for i in range(len(cmd))), leaf
