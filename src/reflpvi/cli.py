@@ -11,7 +11,9 @@ Subcommands map one-to-one onto the library's reproducible experiments:
 
 Each command has its own parser with its own flags, defaults and value
 ranges, so argparse refuses a flag the command would ignore, with the
-command's own usage line; flags follow the command they belong to.  Exact
+command's own usage line; flags follow the command they belong to, and one
+given before a family's check or action name (`verify --seed 1
+schlesinger`) is refused with a message that says it goes after.  Exact
 commands are byte-reproducible; numerical commands are reproducible for a
 fixed --seed.  Exit status: 0 success, 1 failed verification or internal
 invariant, 2 usage errors.
@@ -22,7 +24,8 @@ The verify checks:
     cubic         the cubic constants hold on a rational matrix, and every
                   residue sample built from them has -B4 with spectrum mu
     schlesinger   the G336 Schlesinger flow keeps its eigenvalues and
-                  follows the reduced (x, y) flow
+                  follows the reduced (x, y, f) flow, integrated by the
+                  same RK45 stepper
     eta-pvi       the slot roots eta of that flow solve PVI under exactly
                   one order of the mu's
 """
@@ -282,8 +285,7 @@ def _verify_schlesinger(config, args) -> dict:
             "eigenvalue_drift": drift,
             "reduced_flow_deviation": rep.max_deviation,
             "f_squared_consistency": rep.f_consistency,
-            "conservation_drift": rep.conservation_drift,
-            "sign_flags": rep.sign_flags}
+            "conservation_drift": rep.conservation_drift}
 
 
 def _verify_eta_pvi(config) -> dict:
@@ -360,9 +362,17 @@ def _bounded(kind, low, strict=False):
 class _Command(argparse.ArgumentParser):
     """A command's parser.  It refuses a flag it does not take itself, with
     its own usage line; argparse would hand the flag up to the top-level
-    parser, whose usage does not say which flags the command takes."""
+    parser, whose usage does not say which flags the command takes.  A
+    family parser (`groups`, `verify`, ...) names its sub-command in
+    `family` and refuses a flag before that name, where argparse would take
+    the flag's value for the name."""
+
+    family = None
 
     def parse_known_args(self, args=None, namespace=None):
+        if (self.family and args and args[0].startswith("-")
+                and args[0] not in ("-h", "--help")):
+            self.error(f"{args[0].split('=')[0]} goes after the {self.family} name")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -393,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     def family(name, dest, help):
-        return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+        family_parser = commands.add_parser(name, help=help)
+        family_parser.family = dest
+        return family_parser.add_subparsers(dest=dest, required=True)
 
     spec = _flag("--spec", required=True, help="group spec, e.g. G336 or G(3,1,3)")
     fix_first = _flag("--fix-first", action="store_true",

@@ -6,15 +6,15 @@ data, the flow
     dB1/dt = [B3, B1] / t,    dB2/dt = [B3, B2] / (t - 1)
 
 is integrated along a path (B4 held constant, B3 = -B4 - B1 - B2), and the
-reduced two-variable flow in x = Tr(B1 B3), y = Tr(B2 B3) is compared
-against it.  With B4 diagonal, each off-diagonal entry of
-z (z-1) (z-t) B(z) is linear in z; the motion of its root is checked
-against the sixth Painleve equation by finite differences.
+reduced two-variable flow in x = Tr(B1 B3), y = Tr(B2 B3), with
+f = Tr(B1 [B2, B3]) carried along, is compared against it.  With B4
+diagonal, each off-diagonal entry of z (z-1) (z-t) B(z) is linear in z;
+the motion of its root is checked against the sixth Painleve equation by
+finite differences.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -212,6 +212,8 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     bit; it keeps the name `solve_ivp` and the `nfev` count, and stays a
     module attribute here, so that tools wrapping `schlesinger.solve_ivp`
     by name (the benchmark tracer counts `nfev` that way) still see it.
+    `reduced_flow_compare` calls it by the same name, so such a count also
+    takes in the reduced flow's evaluations.
     Raises PathError when the path comes within 0.001 of t = 0 or t = 1,
     or when a segment fails.
     """
@@ -266,88 +268,57 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
 @dataclass
 class ReducedFlowReport:
     max_deviation: float
-    sign_flags: int              # samples where |f| came near the branch point
     conservation_drift: float    # drift of w + x + y along the matrix flow
     f_consistency: float         # max |f_k^2 - f_squared(x_k, y_k)|
 
 
 def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
-    """Integrate dx/dt = f/(t-1), dy/dt = -f/t with sign-continuous
-    f = sqrt(f_squared), four RK4 steps per sample interval, and compare
-    with the matrix-flow coordinates."""
-    lm = traj.lm
-    a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(lm))
+    """Integrate the reduced flow and compare it with the matrix-flow
+    coordinates.
 
-    def f2(x, y):
+    The flow dx/dt = f/(t-1), dy/dt = -f/t carries f along with
+    df/dt = (F_x/(t-1) - F_y/t)/2, the derivative of f^2 = F(x, y) with the
+    constants of `cubic_coeffs`, so that no square root or branch choice is
+    needed where f crosses zero.  It starts from the matrix flow's first
+    (x, y, f), runs with `solve_ivp` along the line from the first sample
+    to the last, and `max_deviation` is the largest distance of its x and y
+    from the matrix flow's at the samples.  Raises PathError when the
+    samples do not run along one straight line.
+    """
+    a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(traj.lm))
+    xs_m, ys_m, fs_m = traj.xs(), traj.ys(), traj.fs()
+    t0, dt = complex(traj.ts[0]), complex(traj.ts[-1] - traj.ts[0])
+    s_eval = (traj.ts - t0) / dt
+    if np.abs(s_eval.imag).max() > 1e-9 or np.any(np.diff(s_eval.real) <= 0):
+        raise PathError("the reduced flow needs samples along one straight line")
+
+    # the state is (x, y, f) split into real and imaginary parts, and the
+    # right-hand side runs on Python complex numbers, which cost less per
+    # operation than numpy scalars
+    def rhs(s, u):
+        x, y, f = (u[:3] + 1j * u[3:]).tolist()
+        t = t0 + s * dt
         lin = a_c * x + b_c * y + k_c
-        return lin * lin + 4 * x * y * (x + y - c_c)
+        fx = 2 * a_c * lin + 4 * y * (2 * x + y - c_c)
+        fy = 2 * b_c * lin + 4 * x * (x + 2 * y - c_c)
+        dx, dy, df = f / (t - 1.0) * dt, -f / t * dt, (fx / (t - 1.0) - fy / t) / 2 * dt
+        return [dx.real, dy.real, df.real, dx.imag, dy.imag, df.imag]
 
-    xs_m = traj.xs()
-    ys_m = traj.ys()
-    fs_m = traj.fs()
-    flags = 0
-
-    # The RK4 below is sequential, so it runs on Python complex numbers
-    # (numpy scalar arithmetic costs several times more per operation), with
-    # f2 and the sign-continuous root inlined at each stage.  A stage's f is
-    # the root of f2 nearer to the substep's reference f, and a root within
-    # 1e-10 of the branch point raises a flag.  The reference is k1's f,
-    # which is the f found at the end of the previous substep, at the same
-    # (x, y): nearest to itself, it is reused, and still counted.
-    ts = traj.ts.tolist()
-    xs_l, ys_l = xs_m.tolist(), ys_m.tolist()
-    x, y = xs_l[0], ys_l[0]
-    lin = a_c * x + b_c * y + k_c
-    root = cmath.sqrt(lin * lin + 4 * x * y * (x + y - c_c))
-    ref = complex(fs_m[0])
-    f_prev = root if abs(root - ref) <= abs(-root - ref) else -root
-    max_dev = 0.0
-    for k in range(len(ts) - 1):
-        t0c, t1c = ts[k], ts[k + 1]
-        h = (t1c - t0c) / 4
-        h2, h6 = h / 2, h / 6
-        for s in range(4):
-            t = t0c + s * h
-            th = t + h2
-            fref = f_prev
-            if abs(fref) < 1e-10:
-                flags += 1
-            k1x, k1y = fref / (t - 1.0), -fref / t
-            xm, ym = x + h2 * k1x, y + h2 * k1y
-            lin = a_c * xm + b_c * ym + k_c
-            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
-            if abs(root) < 1e-10:
-                flags += 1
-            f = root if abs(root - fref) <= abs(-root - fref) else -root
-            k2x, k2y = f / (th - 1.0), -f / th
-            xm, ym = x + h2 * k2x, y + h2 * k2y
-            lin = a_c * xm + b_c * ym + k_c
-            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
-            if abs(root) < 1e-10:
-                flags += 1
-            f = root if abs(root - fref) <= abs(-root - fref) else -root
-            k3x, k3y = f / (th - 1.0), -f / th
-            xm, ym = x + h * k3x, y + h * k3y
-            lin = a_c * xm + b_c * ym + k_c
-            root = cmath.sqrt(lin * lin + 4 * xm * ym * (xm + ym - c_c))
-            if abs(root) < 1e-10:
-                flags += 1
-            f = root if abs(root - fref) <= abs(-root - fref) else -root
-            t1 = t + h
-            k4x, k4y = f / (t1 - 1.0), -f / t1
-            x = x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            lin = a_c * x + b_c * y + k_c
-            root = cmath.sqrt(lin * lin + 4 * x * y * (x + y - c_c))
-            if abs(root) < 1e-10:
-                flags += 1
-            f_prev = root if abs(root - fref) <= abs(-root - fref) else -root
-        max_dev = max(max_dev, abs(x - xs_l[k + 1]), abs(y - ys_l[k + 1]))
-
+    u0 = np.array([xs_m[0], ys_m[0], fs_m[0]])
+    # the last position can round past 1.0, which solve_ivp refuses
+    sol = solve_ivp(rhs, np.concatenate((u0.real, u0.imag)),
+                    np.clip(s_eval.real, 0.0, 1.0), rtol=1e-10, atol=1e-12,
+                    max_step=np.inf)
+    if not sol.success:
+        raise PathError(f"reduced flow integration failed: {sol.message}")
+    xs_r, ys_r = sol.y[0] + 1j * sol.y[3], sol.y[1] + 1j * sol.y[4]
+    max_dev = max(np.abs(xs_r - xs_m).max(), np.abs(ys_r - ys_m).max())
     wxy = traj.ws() + xs_m + ys_m
     conservation = float(np.abs(wxy - wxy[0]).max())
-    f_cons = float(np.abs(fs_m ** 2 - f2(xs_m, ys_m)).max())
-    return ReducedFlowReport(float(max_dev), flags, conservation, f_cons)
+    lin = a_c * xs_m + b_c * ys_m + k_c
+    f_squared = lin * lin + 4 * xs_m * ys_m * (xs_m + ys_m - c_c)
+    f_cons = float(np.abs(fs_m ** 2 - f_squared).max())
+    return ReducedFlowReport(float(max_dev), conservation, f_cons)
 
 
 def eta_samples(traj: Trajectory) -> Dict[Tuple[int, int], np.ndarray]:

@@ -104,11 +104,17 @@ def test_missing_spec_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--seed", "1", "schlesinger"],
-                                  ["groups", "--spec", "G336", "info"]])
-def test_flag_before_its_command_is_a_usage_error(argv):
+                                  ["groups", "--spec", "G336", "info"],
+                                  ["verify", "--seed=1", "schlesinger"]])
+def test_flag_before_its_command_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # named as a misplaced flag, not taken for the check or action name
+    name = "check" if argv[0] == "verify" else "action"
+    assert err.startswith(f"usage: reflpvi {argv[0]} [-h]"), err
+    assert err.rstrip().endswith(f"error: {argv[1].split('=')[0]} goes after the {name} name"), err
 
 
 def test_empty_spec_is_an_unparsable_spec(capsys):
@@ -231,6 +237,14 @@ def test_verify_float_layer(capsys, check):
     code, out = run_cli(capsys, "verify", check, "--seed", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_schlesinger_follows_f_through_zero(capsys):
+    # f changes sign along the seed-3 flow
+    code, out = run_cli(capsys, "verify", "schlesinger", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["reduced_flow_deviation"] < 1e-6
 
 
 def test_verify_eta_pvi_csv_with_a_skipped_slot(capsys):

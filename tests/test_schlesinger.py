@@ -1,4 +1,3 @@
-import cmath
 import json
 import time
 from itertools import permutations
@@ -13,7 +12,6 @@ from reflpvi import rk45, schlesinger
 from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import LambdaMu, cubic_coeffs, lambda_mu_of_triple, pvi_abcd, theta_map
 from reflpvi.schlesinger import (DegenerateSampleError, PathError,
-                                 ReducedFlowReport, Trajectory,
                                  diagonalize_gauge, eta_pvi_residual,
                                  eta_samples, integrate_schlesinger,
                                  reduced_flow_compare, sample_residues)
@@ -312,84 +310,40 @@ def test_reduced_flow(klein_traj):
     assert rep.conservation_drift < 1e-10
 
 
-def _reduced_flow_per_stage(traj):
-    """`reduced_flow_compare` written stage by stage: f2, the sign-continuous
-    root and the RK4 derivative as functions, and k1's root recomputed."""
-    a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(traj.lm))
-
-    def f2(x, y):
-        lin = a_c * x + b_c * y + k_c
-        return lin * lin + 4 * x * y * (x + y - c_c)
-
-    flags = 0
-
-    def f_value(x, y, ref):
-        nonlocal flags
-        root = cmath.sqrt(f2(x, y))
-        if abs(root) < 1e-10:
-            flags += 1
-        return root if abs(root - ref) <= abs(-root - ref) else -root
-
-    def deriv(t, x, y, ref):
-        f = f_value(x, y, ref)
-        return f / (t - 1.0), -f / t, f
-
-    xs_m, ys_m, fs_m = traj.xs(), traj.ys(), traj.fs()
-    ts, xs, ys = traj.ts.tolist(), xs_m.tolist(), ys_m.tolist()
-    x, y, f_prev = xs[0], ys[0], complex(fs_m[0])
-    max_dev = 0.0
-    for k in range(len(ts) - 1):
-        h = (ts[k + 1] - ts[k]) / 4
-        for s in range(4):
-            t = ts[k] + s * h
-            k1x, k1y, fref = deriv(t, x, y, f_prev)
-            k2x, k2y, _ = deriv(t + h / 2, x + h / 2 * k1x, y + h / 2 * k1y, fref)
-            k3x, k3y, _ = deriv(t + h / 2, x + h / 2 * k2x, y + h / 2 * k2y, fref)
-            k4x, k4y, _ = deriv(t + h, x + h * k3x, y + h * k3y, fref)
-            x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            f_prev = f_value(x, y, fref)
-        max_dev = max(max_dev, abs(x - xs[k + 1]), abs(y - ys[k + 1]))
-    wxy = traj.ws() + xs_m + ys_m
-    return ReducedFlowReport(float(max_dev), flags,
-                             float(np.abs(wxy - wxy[0]).max()),
-                             float(np.abs(fs_m ** 2 - f2(xs_m, ys_m)).max()))
-
-
-def _branch_point_traj(lm):
-    """A made-up trajectory that starts on or next to the branch point
-    f_squared = 0: B2 = B4 = 0 and B1 = diag(s, 0, 0) give y = 0 and
-    x = -s^2 = -k/a, so f_squared = (a x + k)^2 is zero up to rounding."""
-    a_c, _, k_c, _ = (float(v) for v in cubic_coeffs(lm))
-    s = cmath.sqrt(k_c / a_c) if a_c else 1.0
-    ts = np.linspace(0.5, 0.6, 21).astype(complex)
-    b1s = np.zeros((len(ts), 3, 3), dtype=complex)
-    b1s[:, 0, 0] = s
-    zero = np.zeros((3, 3), dtype=complex)
-    return Trajectory(ts, b1s, np.zeros_like(b1s), zero, lm)
-
-
 # Klein, a row with a = 0 and b != 0 in the cubic, and one with k = 0
 PINNED_ROWS = {"G336": KLEIN, "G1296": LambdaMu(*TABLE1_LM["G1296"]),
                "G648": LambdaMu(*TABLE1_LM["G648"])}
 
 
-@pytest.mark.parametrize("row", sorted(PINNED_ROWS))
-def test_reduced_flow_matches_per_stage_rk4(row):
-    config = diagonalize_gauge(sample_residues(PINNED_ROWS[row], seed=1))
+NON_DEGENERATE_ROWS = [group for group in TABLE1_LM if group != "G(3,3,3)"]
+
+
+@pytest.mark.parametrize("row", NON_DEGENERATE_ROWS)
+def test_reduced_flow_follows_f_through_zero(row):
+    """At residue seed 3 the real f of every row changes sign on [0.5, 0.8];
+    a square root with a nearest-branch rule keeps +|f| past the zero."""
+    config = diagonalize_gauge(sample_residues(LambdaMu(*TABLE1_LM[row]), seed=3))
     t_path, tol, samples = VERDICT_PATHS["flow"]
     traj = integrate_schlesinger(config, t_path, tol=tol, samples_per_segment=samples)
-    assert reduced_flow_compare(traj) == _reduced_flow_per_stage(traj)
+    fs = traj.fs()
+    assert np.abs(fs.imag).max() < 1e-12
+    assert fs.real.min() < 0 < fs.real.max()
+    assert reduced_flow_compare(traj).max_deviation < 1e-6
 
 
-@pytest.mark.parametrize("row", ["G(3,1,3)", "icosahedral"])
-def test_reduced_flow_counts_branch_point_flags(row):
-    # G(3,1,3) starts within rounding of the branch point; icosahedral
-    # (k = 0) starts on it exactly, where the root is 0 at every stage
-    traj = _branch_point_traj(LambdaMu(*TABLE1_LM[row]))
-    rep = reduced_flow_compare(traj)
-    assert rep.sign_flags > 0
-    assert rep == _reduced_flow_per_stage(traj)
+def test_reduced_flow_sees_wrong_cubic_constants(klein_traj, monkeypatch):
+    right = schlesinger.cubic_coeffs
+    monkeypatch.setattr(schlesinger, "cubic_coeffs",
+                        lambda lm: (*right(lm)[:3], right(lm)[3] + F(1, 1000)))
+    assert reduced_flow_compare(klein_traj).max_deviation > 1e-6
+
+
+def test_reduced_flow_refuses_a_bent_path():
+    config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
+    traj = integrate_schlesinger(config, [0.5, 0.5 + 0.2j, 0.7 + 0.2j],
+                                 samples_per_segment=20)
+    with pytest.raises(PathError, match="one straight line"):
+        reduced_flow_compare(traj)
 
 
 def _pvi_rhs(eta, etap, t, alpha, beta, gamma, delta):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -23,14 +24,36 @@ def test_bench_pairs_records_a_missing_package_as_none():
     assert bench_pairs._version("no-such-package-for-reflpvi") is None
 
 
+def test_bench_pairs_refuses_an_odd_pair_count_before_any_run(tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("ran a benchmark")
+    monkeypatch.setattr(bench_pairs, "run_bench", unreachable)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--pr", "0", "--out", str(out),
+                          "--pairs", "triples:1:2", "--pairs", "catalogue:1:3"])
+    assert exc.value.code == 2
+    assert "argument --pairs: COUNT must be even" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("group, residue_seed", [
     ("G336", 1), ("icosahedral", 1), ("G(4,4,3)", 3)])
 def test_iso_snapshot_verdict_matches_the_frozen_benchmark_verdict(group, residue_seed):
-    """An ok, an eta_check and a flow_check op of the benchmark's pool."""
+    """An ok and an eta_check op of the benchmark's pool, and one that the
+    frozen verdicts list as flow_check: its f changes sign on the path, and
+    the reduced flow of the frozen code kept +|f| past the zero."""
     workloads = iso_snapshot.workloads
     op = iso_snapshot.snapshot_op(workloads.table_lambda_mu()[group], residue_seed)
     frozen = workloads.load_reference("isomonodromy")["verdicts"][group]
-    assert op["verdict"] == frozen[str(residue_seed)]
+    if (group, residue_seed) == ("G(4,4,3)", 3):
+        assert frozen[str(residue_seed)] == "flow_check"
+        assert op["verdict"] == "eta_check"
+        deviation = re.search(r"max_deviation=([^,]+),", op["report"]).group(1)
+        assert float(deviation) < workloads.FLOW_BOUND
+    else:
+        assert op["verdict"] == frozen[str(residue_seed)]
     assert {"flow_sha256", "eta_sha256", "report", "drift", "eta"} <= set(op)
 
 

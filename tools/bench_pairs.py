@@ -10,6 +10,8 @@ files.  A `--pairs WORKLOAD:FIRST_SEED:COUNT` entry runs
 `perfbench/run.py --workload WORKLOAD --seed N --seconds S --trace 0` once
 in each tree for the COUNT seeds from FIRST_SEED on, one pair at a time,
 the parent first on even pair indices and the change first on odd ones.
+COUNT must be even, so that each side runs first equally often: the side
+that runs second can be the slower one.
 A `--traced WORKLOAD:SEED` entry runs one `--trace 1` run per side and
 keeps its per-layer metrics.  S is `run_seconds` of the change tree's
 BENCHMARK.json, and the end-to-end metrics summarised are the ones it
@@ -81,6 +83,14 @@ def parse_spec(text: str, parts: int):
     return (fields[0],) + tuple(int(f) for f in fields[1:])
 
 
+def pairs_spec(text: str):
+    spec = parse_spec(text, 3)
+    if spec[2] % 2:
+        raise argparse.ArgumentTypeError(
+            f"COUNT must be even, so that each side runs first equally often: {text!r}")
+    return spec
+
+
 def _version(package: str):
     """The installed version of `package`, or None when it is missing (scipy
     is only a test extra)."""
@@ -102,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pr", required=True, help="suffix of the output BENCH_<pr>.json")
     parser.add_argument("--pairs", action="append", default=[],
-                        type=lambda s: parse_spec(s, 3), help="WORKLOAD:FIRST_SEED:COUNT")
+                        type=pairs_spec, help="WORKLOAD:FIRST_SEED:COUNT, COUNT even")
     parser.add_argument("--traced", action="append", default=[],
                         type=lambda s: parse_spec(s, 2), help="WORKLOAD:SEED")
     parser.add_argument("--parent-commit", help="default: the parent tree's git HEAD")

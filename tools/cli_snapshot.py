@@ -60,11 +60,15 @@ COMMANDS = (
        ("verify-lemma-params", ["verify", "lemma-params", "--count", "20"]),
        ("verify-cubic", ["verify", "cubic", "--count", "20"]),
        ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
+       # f changes sign along this flow
+       ("verify-schlesinger-seed-3", ["verify", "schlesinger", "--seed", "3"]),
        ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"])]
     + [("refuse-verify-eta-pvi-tol", ["verify", "eta-pvi", "--tol", "1e-8"]),
        ("refuse-verify-cubic-count-0", ["verify", "cubic", "--count", "0"]),
        ("refuse-groups-list-spec", ["groups", "list", "--spec", "G336"]),
        ("refuse-groups-info-no-spec", ["groups", "info"]),
+       ("refuse-verify-seed-before-check", ["verify", "--seed", "1", "schlesinger"]),
+       ("refuse-groups-spec-before-action", ["groups", "--spec", "G336", "info"]),
        ("refuse-csv-groups-info", ["--format", "csv", "groups", "info", "--spec", "G336"]),
        ("refuse-orbits-G648-fix-first", ["orbits", "--spec", "G648", "--fix-first"])]
 )
