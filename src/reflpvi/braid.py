@@ -148,17 +148,6 @@ class OrbitReport:
     genus: Optional[int]
     branches: int
 
-    def to_dict(self) -> dict:
-        return {
-            "branches": self.branches,
-            "orbit": [fp.to_dict() for fp in self.orbit],
-            "sigma1": list(self.sigma1),
-            "sigma2": list(self.sigma2),
-            "sigma_prod": list(self.sigma_prod),
-            "cycle_types": [list(ct) for ct in self.cycle_types],
-            "genus": self.genus,
-        }
-
 
 def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
     n = len(perm)

@@ -27,7 +27,8 @@ The verify checks:
                   follows the reduced (x, y, f) flow, integrated by the
                   same RK45 stepper
     eta-pvi       the slot roots eta of that flow solve PVI under exactly
-                  one order of the mu's
+                  one order of the mu's, with eta' and eta'' read off the
+                  Schlesinger equations
 """
 
 from __future__ import annotations

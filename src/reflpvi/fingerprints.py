@@ -129,13 +129,6 @@ class TripleClass:
     generated_order: int
     braid_images: Tuple[Optional[int], Optional[int]]
 
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint.to_dict(),
-            "multiplicity": self.multiplicity,
-            "generated_order": self.generated_order,
-        }
-
 
 def _interned(values: Sequence[CycloNum], n: int) -> List[int]:
     """A small integer id per value, equal ids exactly for equal values.

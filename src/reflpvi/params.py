@@ -91,9 +91,6 @@ class Theta:
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.t1, self.t2, self.t3, self.t4)
 
-    def to_dict(self) -> dict:
-        return {"theta": [str(v) for v in self.as_tuple()]}
-
     def __repr__(self):
         return f"Theta({self.t1}, {self.t2}, {self.t3}, {self.t4})"
 

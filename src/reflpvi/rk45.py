@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ SAFETY = 0.9                  # multiplies the asymptotically optimal factor
 MIN_FACTOR = 0.2              # largest decrease of the step in one rejection
 MAX_FACTOR = 10               # largest increase of the step in one acceptance
 ERROR_EXPONENT = -1 / (4 + 1)  # -1 / (error estimator order + 1)
-EPS = np.finfo(float).eps
 # The step loop holds t, h and the step bounds as Python floats where scipy
 # has numpy float64 scalars.  Both are IEEE doubles, and +, -, *, / and
 # ** (C's pow) round alike on either, so every value is bitwise the same.
@@ -111,22 +109,17 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
     The result equals that of scipy 1.17.1's
     `solve_ivp(fun, (0.0, 1.0), y0, method="RK45", t_eval=t_eval,
     rtol=rtol, atol=atol, max_step=max_step)` bit for bit, in `y` and in
-    `nfev`, and like scipy it raises an `rtol` below 100 machine epsilons
-    to that value with a warning.  When the step falls below ten spacings
-    of the floating-point numbers at s (as when `fun` turns NaN part way)
-    `success` is False and `message` is scipy's.  A start state or start
-    derivative that is not finite fails at once with `NOT_FINITE`, where
-    scipy's step loop would never end.
+    `nfev`, for any `rtol` of at least 100 machine epsilons (scipy raises
+    a smaller one to that value; this stepper takes it as given).  When the
+    step falls below ten spacings of the floating-point numbers at s (as
+    when `fun` turns NaN part way) `success` is False and `message` is
+    scipy's.  A start state or start derivative that is not finite fails
+    at once with `NOT_FINITE`, where scipy's step loop would never end.
     """
     t_eval = np.asarray(t_eval)
     if (t_eval.ndim != 1 or np.any(t_eval < 0.0) or np.any(t_eval > 1.0)
             or np.any(np.diff(t_eval) <= 0)):
         raise ValueError("t_eval must be an increasing 1-D array in [0, 1]")
-    if np.any(rtol < 100 * EPS):
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                      stacklevel=2)
-        rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
     y = np.asarray(y0, dtype=float)
     nfev = 0

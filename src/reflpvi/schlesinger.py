@@ -9,15 +9,15 @@ is integrated along a path (B4 held constant, B3 = -B4 - B1 - B2), and the
 reduced two-variable flow in x = Tr(B1 B3), y = Tr(B2 B3), with
 f = Tr(B1 [B2, B3]) carried along, is compared against it.  With B4
 diagonal, each off-diagonal entry of z (z-1) (z-t) B(z) is linear in z;
-the motion of its root is checked against the sixth Painleve equation by
-finite differences.
+the motion of its root is checked against the sixth Painleve equation,
+with its derivatives read off the same flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from .params import LambdaMu, cubic_coeffs, theta_map, pvi_abcd
@@ -39,7 +39,6 @@ class ResidueConfig:
     b3: np.ndarray
     b4: np.ndarray
     lm: LambdaMu
-    seed: Optional[int] = None
 
 
 def _b4_eig_error(b4: np.ndarray, lm: LambdaMu) -> float:
@@ -95,7 +94,7 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
         b4 = -m
         if _b4_eig_error(b4, lm) < 1e-8:
             b1, b2, b3 = _rank_one_rows(m)
-            return ResidueConfig(b1, b2, b3, b4, lm, seed)
+            return ResidueConfig(b1, b2, b3, b4, lm)
     raise DegenerateSampleError("no valid sample after 50 draws")
 
 
@@ -135,7 +134,7 @@ def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
     return ResidueConfig(
         pinv @ config.b1 @ p, pinv @ config.b2 @ p,
         pinv @ config.b3 @ p, pinv @ config.b4 @ p,
-        config.lm, config.seed)
+        config.lm)
 
 
 @dataclass
@@ -171,21 +170,6 @@ class Trajectory:
             eigs = np.sort(np.linalg.eigvals(bs), axis=-1)
             drift = max(drift, float(np.abs(eigs - eigs[0]).max()))
         return drift
-
-    def to_rows(self) -> List[dict]:
-        xs, ys, fs = self.xs(), self.ys(), self.fs()
-        try:
-            etas = eta_samples(self)
-        except ValueError:
-            etas = {}  # eta slots need the diagonal gauge
-        rows = []
-        for k, t in enumerate(self.ts):
-            row = {"t": complex(t), "x": complex(xs[k]), "y": complex(ys[k]),
-                   "f": complex(fs[k])}
-            for slot, vals in etas.items():
-                row[f"eta_{slot[0]+1}{slot[1]+1}"] = complex(vals[k])
-            rows.append(row)
-        return rows
 
 
 def _path_points(t_path: Sequence[complex], per_segment: int) -> np.ndarray:
@@ -336,27 +320,23 @@ def eta_samples(traj: Trajectory) -> Dict[Tuple[int, int], np.ndarray]:
     # root is t (B1)_ij / lin_ij
     lin = (1 + ts) * traj.b1s + ts * traj.b2s + b3
     const = ts * traj.b1s
-    out = {}
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            denom = lin[:, i, j]
-            if np.min(np.abs(denom)) < 1e-8:
-                continue
-            out[(i, j)] = const[:, i, j] / denom
-    return out
+    return {(i, j): const[:, i, j] / lin[:, i, j] for i in range(3) for j in range(3)
+            if i != j and np.abs(lin[:, i, j]).min() >= 1e-8}
 
 
 def trajectory_csv(traj: Trajectory, path: str) -> None:
     """Dump t, x, y, f and the available eta slots for offline plotting."""
     import csv
-    rows = traj.to_rows()
+    columns = {"t": traj.ts, "x": traj.xs(), "y": traj.ys(), "f": traj.fs()}
+    try:
+        etas = eta_samples(traj)
+    except ValueError:
+        etas = {}  # eta slots need the diagonal gauge
+    columns.update((f"eta_{i+1}{j+1}", vals) for (i, j), vals in etas.items())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(map(complex, vals) for vals in columns.values())))
 
 
 @dataclass
@@ -368,33 +348,56 @@ class SlotResidual:
     skipped: Optional[str] = None
 
 
-def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
-    """Finite-difference PVI residual of each eta slot, per mu-permutation.
+def eta_derivatives(traj: Trajectory
+                    ) -> Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """eta, eta' and eta'' of each slot of `eta_samples`, from the flow.
 
-    The trajectory must be sampled on a uniform real grid.  For each slot
-    the residual is reported for all six permutations of the mu's; the
-    minimizing permutation is the one whose PVI parameters the slot obeys.
-    Slots whose root runs past modulus 50 or within 0.05 of {0, 1, t} are
-    degenerate for this check and come back marked skipped.
+    With eta = N / L entrywise, N = t B1 and L = (1 + t) B1 + t B2 + B3,
+    the quotient rule gives eta' = (N' - eta L') / L and
+    eta'' = (N'' - 2 eta' L' - eta L'') / L.  The Schlesinger equations give
+    B1' = [B3, B1] / t, B2' = [B3, B2] / (t - 1) and B3' = -B1' - B2', so
+    N' = B1 + [B3, B1] and N'' = B1' + [B3', B1] + [B3, B1'], and off the
+    diagonal of the gauge, with d = diag(B4), L' = (d_i - d_j - 1) B3 and
+    L'' = (1 + d_j - d_i) (B1' + B2').
     """
-    ts = traj.ts
-    if np.abs(ts.imag).max() > 1e-12:
-        raise PathError("eta residuals need a real time grid")
-    treal = ts.real
-    h = treal[1] - treal[0]
-    if np.abs(np.diff(treal) - h).max() > 1e-9 * max(abs(h), 1e-30):
-        raise PathError("eta residuals need a uniform time grid")
-
-    abcds = {}
-    for perm in permutations(range(3)):
-        th = theta_map(traj.lm, perm)
-        abcds[perm] = tuple(float(v) for v in pvi_abcd(th))
-
+    etas = eta_samples(traj)
+    b1, b2, b3 = traj.b1s, traj.b2s, traj.b3s()
+    t = traj.ts[:, None, None]
+    b1p = (b3 @ b1 - b1 @ b3) / t
+    b12p = b1p + (b3 @ b2 - b2 @ b3) / (t - 1.0)
+    d = np.diag(traj.b4)
+    gap = d[:, None] - d[None, :]
+    lin = (1 + t) * b1 + t * b2 + b3
+    lin_p, lin_pp = (gap - 1.0) * b3, (1.0 - gap) * b12p
+    const_p = b1 + t * b1p
+    const_pp = b1p + b1 @ b12p - b12p @ b1 + b3 @ b1p - b1p @ b3
     out = {}
-    for slot, eta in eta_samples(traj).items():
-        eta = eta.astype(complex)
+    for (i, j), eta in etas.items():
+        etap = (const_p[:, i, j] - eta * lin_p[:, i, j]) / lin[:, i, j]
+        etapp = (const_pp[:, i, j] - 2 * etap * lin_p[:, i, j]
+                 - eta * lin_pp[:, i, j]) / lin[:, i, j]
+        out[(i, j)] = (eta, etap, etapp)
+    return out
+
+
+def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
+    """PVI residual of each eta slot, per mu-permutation, at every sample.
+
+    eta' and eta'' are those of `eta_derivatives`, so any sampled path
+    serves, complex ones included.  For each slot the residual is reported
+    for all six permutations of the mu's; the minimizing permutation is the
+    one whose PVI parameters the slot obeys.  Slots whose root runs past
+    modulus 50 or within 0.05 of {0, 1, t} are degenerate for this check
+    and come back marked skipped.
+    """
+    abcds = {perm: tuple(float(v) for v in pvi_abcd(theta_map(traj.lm, perm)))
+             for perm in permutations(range(3))}
+
+    t = traj.ts
+    out = {}
+    for slot, (eta, etap, etapp) in eta_derivatives(traj).items():
         closeness = min(np.abs(eta).min(), np.abs(eta - 1).min(),
-                        np.abs(eta - treal).min())
+                        np.abs(eta - t).min())
         if np.abs(eta).max() > 50.0:
             out[slot] = SlotResidual(slot, float("inf"), None, {},
                                      skipped="root escapes to infinity")
@@ -403,10 +406,6 @@ def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
             out[slot] = SlotResidual(slot, float("inf"), None, {},
                                      skipped="root approaches a singular point")
             continue
-        # fourth-order central differences on the uniform grid
-        etap = (-eta[4:] + 8 * eta[3:-1] - 8 * eta[1:-3] + eta[:-4]) / (12 * h)
-        etapp = (-eta[4:] + 16 * eta[3:-1] - 30 * eta[2:-2]
-                 + 16 * eta[1:-3] - eta[:-4]) / (12 * h * h)
         # the PVI right-hand side
         #   (1/eta + 1/(eta-1) + 1/(eta-t)) eta'^2 / 2
         #     - (1/t + 1/(t-1) + 1/(eta-t)) eta'
@@ -414,8 +413,6 @@ def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
         #   poly = alpha + beta t / eta^2 + gamma (t-1) / (eta-1)^2
         #          + delta t (t-1) / (eta-t)^2,
         # with everything but poly computed once for the six permutations
-        eta = eta[2:-2]
-        t = treal[2:-2]
         eta1, eta_t, t1 = eta - 1.0, eta - t, t - 1.0
         eta_terms = ((1.0 / eta + 1.0 / eta1 + 1.0 / eta_t) * etap ** 2 / 2
                      - (1.0 / t + 1.0 / t1 + 1.0 / eta_t) * etap)

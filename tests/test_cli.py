@@ -228,7 +228,8 @@ def test_verify_schlesinger_dump(capsys, tmp_path):
     code, _ = run_cli(capsys, "verify", "schlesinger", "--seed", "1", "--dump", str(path))
     assert code == 0
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("t,x,y,f")
+    assert lines[0].split(",") == ["t", "x", "y", "f", "eta_12", "eta_13", "eta_21",
+                                   "eta_23", "eta_31", "eta_32"]
     assert len(lines) == 1 + 301
 
 
@@ -245,6 +246,15 @@ def test_verify_schlesinger_follows_f_through_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["reduced_flow_deviation"] < 1e-6
+
+
+def test_verify_eta_pvi_seed_3(capsys):
+    # fourth-order differences at h = 1e-3 put a slot's residual at 99.1 here
+    code, out = run_cli(capsys, "verify", "eta-pvi", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert all(row["residual"] < 1e-8 for row in payload["rows"] if "residual" in row)
 
 
 def test_verify_eta_pvi_csv_with_a_skipped_slot(capsys):

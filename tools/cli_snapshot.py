@@ -62,7 +62,8 @@ COMMANDS = (
        ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
        # f changes sign along this flow
        ("verify-schlesinger-seed-3", ["verify", "schlesinger", "--seed", "3"]),
-       ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"])]
+       ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"]),
+       ("verify-eta-pvi-seed-3", ["verify", "eta-pvi", "--seed", "3"])]
     + [("refuse-verify-eta-pvi-tol", ["verify", "eta-pvi", "--tol", "1e-8"]),
        ("refuse-verify-cubic-count-0", ["verify", "cubic", "--count", "0"]),
        ("refuse-groups-list-spec", ["groups", "list", "--spec", "G336"]),
