@@ -419,6 +419,16 @@ def test_tied_permutations_pass_together(row):
                for sr in checked)
 
 
+def test_trajectory_rows(klein_traj, tmp_path):
+    path = tmp_path / "traj.csv"
+    schlesinger.trajectory_csv(klein_traj, str(path))
+    header, *rows = path.read_text().splitlines()
+    assert len(rows) == len(klein_traj.ts)
+    assert {"t", "x", "y", "f"} <= set(header.split(","))
+    ts = [complex(row.split(",")[0]) for row in rows]
+    assert np.array_equal(ts, klein_traj.ts)
+
+
 def test_convergence_with_tolerance():
     config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
     ref = integrate_schlesinger(config, [0.5, 0.8], tol=1e-12,
