@@ -18,8 +18,6 @@ from .params import (
     cubic_coeffs,
     f_squared,
     f_hitchin_squared,
-    normalize_cubic,
-    CubicForm,
 )
 
 # The floating-point layer (numpy) loads on first use, so that the exact

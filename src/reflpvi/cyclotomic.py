@@ -406,9 +406,6 @@ class CycloNum:
         a, b = self._match(other)
         return a * b.inverse()
 
-    def __rtruediv__(self, other) -> "CycloNum":
-        return CycloNum.from_rational(other).lift(self.n) * self.inverse()
-
     def __pow__(self, k: int) -> "CycloNum":
         if k < 0:
             return self.inverse() ** (-k)

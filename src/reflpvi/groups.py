@@ -48,6 +48,10 @@ EXCEPTIONAL_DATA = {
     "G2160": (2160, (6, 12, 30)),
 }
 
+# lowercased spec name -> exceptional group name
+_EXCEPTIONAL_NAMES = {**{name.lower(): name for name in EXCEPTIONAL_DATA},
+                     "icosa": "icosahedral", "h3": "icosahedral"}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -78,12 +82,9 @@ class GroupSpec:
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
-        s = text.strip()
-        low = s.lower()
-        if low in ("icosahedral", "icosa", "h3"):
-            return GroupSpec.exceptional("icosahedral")
-        if s in EXCEPTIONAL_DATA:
-            return GroupSpec.exceptional(s)
+        low = text.strip().lower()
+        if low in _EXCEPTIONAL_NAMES:
+            return GroupSpec.exceptional(_EXCEPTIONAL_NAMES[low])
         match = re.fullmatch(r"g\(([-+]?\d+),([-+]?\d+),3\)", "".join(low.split()))
         if match:
             return GroupSpec.imprimitive(int(match[1]), int(match[2]))

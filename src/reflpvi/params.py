@@ -66,9 +66,9 @@ class LambdaMu:
 
 
 def random_lambda_mu(rng: random.Random) -> LambdaMu:
-    """Random exact-sum (lambda, mu): non-integral lambdas with denominators
-    2..7 and numerators below three, two small random mu's, and the third
-    mu fixed by sum(mu) = sum(lambda)."""
+    """Random exact-sum (lambda, mu): non-integral lambdas in (0, 3) with
+    denominators 2..7, two small random mu's, and the third mu fixed by
+    sum(mu) = sum(lambda)."""
     lams = []
     for _ in range(3):
         den = rng.choice([2, 3, 4, 5, 6, 7])
@@ -288,81 +288,3 @@ def f_hitchin_squared(point, theta: Theta):
            + x * (m * y - e2 * x))
     return -2 * det
 
-
-# ---------------------------------------------------------------------------
-# cubic normal form
-# ---------------------------------------------------------------------------
-
-class CubicForm:
-    """Polynomial of total degree <= 3 in (x, y) with rational coefficients."""
-
-    def __init__(self, coeffs: Dict[Tuple[int, int], Fraction]):
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-        if any(i + j > 3 for i, j in self.coeffs):
-            raise ValueError("total degree exceeds 3")
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, CubicForm) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = [f"{v}*x^{i}y^{j}" for (i, j), v in sorted(self.coeffs.items())]
-        return "CubicForm(" + " + ".join(terms) + ")"
-
-    def shifted(self, x0: Fraction, y0: Fraction) -> "CubicForm":
-        """The polynomial C(x + x0, y + y0)."""
-        from math import comb
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), v in self.coeffs.items():
-            for di in range(i + 1):
-                for dj in range(j + 1):
-                    key = (di, dj)
-                    out[key] = out.get(key, Fraction(0)) + (
-                        v * comb(i, di) * comb(j, dj)
-                        * x0 ** (i - di) * y0 ** (j - dj))
-        return CubicForm(out)
-
-    @staticmethod
-    def from_lambda_mu(lm: LambdaMu) -> "CubicForm":
-        a, b, k, c = cubic_coeffs(lm)
-        return CubicForm({
-            (2, 1): Fraction(4), (1, 2): Fraction(4),
-            (2, 0): a * a, (1, 1): 2 * a * b - 4 * c, (0, 2): b * b,
-            (1, 0): 2 * a * k, (0, 1): 2 * b * k, (0, 0): k * k,
-        })
-
-    @staticmethod
-    def from_theta(theta: Theta) -> "CubicForm":
-        t1, t2, t3, t4 = theta.as_tuple()
-        e1, e2, e3, e4 = (t * t / 2 for t in (t1, t2, t3, t4))
-        e = (e4 - e1 - e2 - e3) / 2
-        # -2 det expansion of the quadric-determinant form
-        return CubicForm({
-            (2, 1): Fraction(4), (1, 2): Fraction(4),
-            (2, 0): 2 * (e2 + e3), (0, 2): 2 * (e1 + e3),
-            (1, 1): 4 * e3 - 4 * e,
-            (1, 0): -4 * e3 * e, (0, 1): -4 * e3 * e,
-            (0, 0): 2 * e3 * e * e - 2 * e1 * e2 * e3,
-        })
-
-
-def normalize_cubic(cubic: CubicForm) -> Tuple[Tuple[Fraction, Fraction, Fraction, Fraction],
-                                               Tuple[Fraction, Fraction]]:
-    """Translate (x, y) to kill the x^2 and y^2 terms.
-
-    Requires the leading part 4 x^2 y + 4 x y^2; returns the surviving
-    constants (A, B, C, D) of A xy + B x + C y + D and the shift applied.
-    """
-    lead_ok = (cubic.coeff(2, 1) == 4 and cubic.coeff(1, 2) == 4
-               and cubic.coeff(3, 0) == 0 and cubic.coeff(0, 3) == 0)
-    if not lead_ok:
-        raise ValueError("cubic leading part must be exactly 4x^2y + 4xy^2")
-    y0 = -cubic.coeff(2, 0) / 4
-    x0 = -cubic.coeff(0, 2) / 4
-    shifted = cubic.shifted(x0, y0)
-    if shifted.coeff(2, 0) != 0 or shifted.coeff(0, 2) != 0:
-        raise AssertionError("shift failed to kill the square terms")
-    return ((shifted.coeff(1, 1), shifted.coeff(1, 0),
-             shifted.coeff(0, 1), shifted.coeff(0, 0)), (x0, y0))

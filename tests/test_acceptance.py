@@ -18,8 +18,7 @@ from reflpvi.fingerprints import classify_triples, fingerprint, fingerprint_by_i
 from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import (LambdaMu, canonical_theta, f_hitchin_squared,
                             f_squared, lambda_mu_of_triple, pvi_abcd,
-                            random_lambda_mu, table1, theta_map, CubicForm,
-                            normalize_cubic)
+                            random_lambda_mu, table1, theta_map)
 from reflpvi.schlesinger import (diagonalize_gauge, eta_pvi_residual,
                                  integrate_schlesinger, reduced_flow_compare,
                                  sample_residues)
@@ -143,15 +142,15 @@ def test_criterion_5_cubic_algebra(capsys):
     float_err = payload["float_max_error"]
     ok = code == 0 and payload["ok"] and float_err < 1e-10
     rng = random.Random(99)
-    # normal form round-trips exactly, and the theta cubic of every mu order
-    # has the normal form of the (lambda, mu) cubic
+    # f^2 of the (lambda, mu) cubic is the shifted theta cubic of every mu
+    # order at the ten points P = (i, j), i + j <= 3, which fix a cubic
+    points = [(F(i), F(j)) for i in range(4) for j in range(4 - i)]
     for _ in range(20):
         lm = random_lambda_mu(rng)
-        cub = CubicForm.from_lambda_mu(lm)
-        normal, (x0, y0) = normalize_cubic(cub)
-        ok = ok and cub.shifted(x0, y0).shifted(-x0, -y0) == cub
-        ok = ok and all(normalize_cubic(CubicForm.from_theta(theta_map(lm, perm)))[0] == normal
-                        for perm in permutations(range(3)))
+        for perm in permutations(range(3)):
+            th = theta_map(lm, perm)
+            ok = ok and all(f_squared((x, y), lm) == f_hitchin_squared(
+                (x - th.t1 * th.t3 / 2, y - th.t2 * th.t3 / 2), th) for x, y in points)
     report(5, ok, f"cubic constants validated on 100 exact + 100 float samples (max fp error {float_err:.1e})")
 
 

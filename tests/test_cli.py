@@ -199,14 +199,29 @@ def test_verify_cubic_refuses_wrong_cubic_constants(capsys, monkeypatch):
                                "trial": 0, "error": "no valid sample after 50 draws"}
 
 
+def _wrong_theta_cubic(monkeypatch):
+    """f_hitchin_squared plus xy(x - y), which vanishes on the axes and on
+    the diagonal."""
+    right = cli.f_hitchin_squared
+    monkeypatch.setattr(cli, "f_hitchin_squared",
+                        lambda point, theta: right(point, theta)
+                        + point[0] * point[1] * (point[0] - point[1]))
+
+
 def test_verify_cubic_refuses_a_wrong_theta_cubic(capsys, monkeypatch):
-    from reflpvi.params import CubicForm
-    monkeypatch.setattr(CubicForm, "from_theta",
-                        staticmethod(lambda theta: CubicForm({(2, 1): 4, (1, 2): 4, (0, 0): 1})))
+    _wrong_theta_cubic(monkeypatch)
     code, out = run_cli(capsys, "verify", "cubic", "--count", "2")
     assert code == 1
     assert json.loads(out) == {"schema": 1, "check": "cubic", "ok": False,
-                               "side": "normal form"}
+                               "side": "theta cubic", "perm": [0, 1, 2]}
+
+
+def test_verify_lemma_params_refuses_a_wrong_theta_cubic(capsys, monkeypatch):
+    _wrong_theta_cubic(monkeypatch)
+    code, out = run_cli(capsys, "verify", "lemma-params", "--count", "5")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "check": "lemma-params", "ok": False,
+                               "trial": 0, "perm": [0, 1, 2]}
 
 
 def test_text_format(capsys):

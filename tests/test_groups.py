@@ -33,6 +33,13 @@ def test_spec_parsing():
         GroupSpec.imprimitive(1, 1)
 
 
+@pytest.mark.parametrize("name", [*groups.EXCEPTIONAL_DATA, "icosa", "h3"])
+def test_exceptional_spec_names_parse_in_any_case(name):
+    expected = "icosahedral" if name in ("icosa", "h3") else name
+    for text in (name.lower(), name.upper(), f" {name} "):
+        assert GroupSpec.parse(text) == GroupSpec.exceptional(expected)
+
+
 def test_enumerate_s3():
     els = enumerate_elements([Mat3.permutation([1, 0, 2]),
                               Mat3.permutation([0, 2, 1]),

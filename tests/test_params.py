@@ -5,11 +5,11 @@ from itertools import permutations
 import pytest
 
 from reflpvi.groups import GroupSpec, build_group
-from reflpvi.params import (CubicForm, LambdaMu, SumConstraintError, Theta,
+from reflpvi.params import (LambdaMu, SumConstraintError, Theta,
                             canonical_theta, cubic_coeffs, expected_theta_row,
                             f_hitchin_squared, f_squared, lambda_mu_of_triple,
-                            mu_from_degrees, normalize_cubic, pvi_abcd,
-                            random_lambda_mu, table1, theta_map)
+                            mu_from_degrees, pvi_abcd, random_lambda_mu,
+                            table1, theta_map)
 
 F = Fraction
 
@@ -139,55 +139,6 @@ def test_f_squared_at_origin():
 def test_hitchin_zero_row_example():
     th = Theta(F(0), F(0), F(0), F(1))
     assert f_hitchin_squared((F(0), F(0)), th) == 0
-
-
-def _evaluate(form, x, y):
-    """The value of a CubicForm at (x, y)."""
-    return sum(v * x ** i * y ** j for (i, j), v in form.coeffs.items())
-
-
-def test_cubic_form_evaluation_matches():
-    rng = random.Random(19)
-    lm = random_lambda_mu(rng)
-    cub = CubicForm.from_lambda_mu(lm)
-    th = theta_map(lm, (2, 0, 1))
-    hit = CubicForm.from_theta(th)
-    for _ in range(20):
-        x = F(rng.randrange(-6, 6), rng.randrange(1, 5))
-        y = F(rng.randrange(-6, 6), rng.randrange(1, 5))
-        assert _evaluate(cub, x, y) == f_squared((x, y), lm)
-        assert _evaluate(hit, x, y) == f_hitchin_squared((x, y), th)
-
-
-def test_normalize_cubic():
-    # already normalized input: zero shift
-    cub = CubicForm({(2, 1): 4, (1, 2): 4, (1, 1): F(3), (1, 0): F(-1),
-                     (0, 1): F(2), (0, 0): F(5)})
-    (a, b, c, d), (x0, y0) = normalize_cubic(cub)
-    assert (x0, y0) == (0, 0)
-    assert (a, b, c, d) == (3, -1, 2, 5)
-    # explicit square term: shift solves the linear system
-    cub = CubicForm({(2, 1): 4, (1, 2): 4, (2, 0): 4})
-    (_, _, _, _), (x0, y0) = normalize_cubic(cub)
-    assert (x0, y0) == (0, -1)
-    shifted = cub.shifted(x0, y0)
-    assert shifted.coeff(2, 0) == 0 and shifted.coeff(0, 2) == 0
-    assert shifted.shifted(-x0, -y0) == cub
-    with pytest.raises(ValueError):
-        normalize_cubic(CubicForm({(3, 0): 1}))
-
-
-def test_lambda_mu_and_hitchin_normal_forms_agree():
-    # the two cubics agree after the shift, so their normal forms coincide
-    rng = random.Random(23)
-    for _ in range(10):
-        lm = random_lambda_mu(rng)
-        cub = CubicForm.from_lambda_mu(lm)
-        consts, _ = normalize_cubic(cub)
-        th = theta_map(lm, (0, 1, 2))
-        hit = CubicForm.from_theta(th)
-        consts_h, _ = normalize_cubic(hit)
-        assert consts == consts_h
 
 
 def test_table1(g336):

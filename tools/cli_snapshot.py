@@ -39,6 +39,7 @@ COMMANDS = (
     [(f"groups-info-{_name(s)}", ["groups", "info", "--spec", s]) for s in SPECS]
     + [(f"params-theta-{_name(s)}", ["params", "theta", "--spec", s]) for s in SPECS]
     + [("groups-list", ["groups", "list"]),
+       ("groups-info-g336-lowercase", ["groups", "info", "--spec", "g336"]),
        ("params-table", ["params", "table"]),
        ("triples-G336-fix-first", ["triples", "classify", "--spec", "G336", "--fix-first"]),
        ("triples-G648", ["triples", "classify", "--spec", "G648"]),
