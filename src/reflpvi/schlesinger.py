@@ -36,7 +36,6 @@ class PathError(ValueError):
 class ResidueConfig:
     b1: np.ndarray
     b2: np.ndarray
-    b3: np.ndarray
     b4: np.ndarray
     lm: LambdaMu
 
@@ -48,15 +47,6 @@ def _b4_eig_error(b4: np.ndarray, lm: LambdaMu) -> float:
     return float(np.abs(eig - target).max())
 
 
-def _rank_one_rows(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = []
-    for i in range(3):
-        b = np.zeros((3, 3), dtype=complex)
-        b[i, :] = m[i, :]
-        rows.append(b)
-    return tuple(rows)
-
-
 def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
     """Random residue quadruple with the prescribed eigenvalue data.
 
@@ -65,7 +55,8 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
     off-diagonal slots (1,3), (3,1), (2,3), (3,2) are drawn at random,
     w = c - x - y fixes the product b12 b21, and b12 solves the quadratic
     A b12^2 - (a x + b y + k) b12 + w B = 0.  Then B_i = e_i (x) (row i of M)
-    and B4 = -M.  Refuses with DegenerateSampleError after 50 draws.
+    and B4 = -M; B3 is not stored, as it is -B4 - B1 - B2 wherever needed.
+    Refuses with DegenerateSampleError after 50 draws.
     """
     if not lm.sums_exact():
         raise ValueError("lambda/mu sums must agree exactly; use with_exact_sums()")
@@ -93,8 +84,8 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
         ], dtype=complex)
         b4 = -m
         if _b4_eig_error(b4, lm) < 1e-8:
-            b1, b2, b3 = _rank_one_rows(m)
-            return ResidueConfig(b1, b2, b3, b4, lm)
+            b1, b2 = (np.where(np.arange(3)[:, None] == i, m, 0) for i in range(2))
+            return ResidueConfig(b1, b2, b4, lm)
     raise DegenerateSampleError("no valid sample after 50 draws")
 
 
@@ -131,10 +122,8 @@ def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
             f"eigenspace is not full (eigenvector condition number "
             f"{cond:.2e} > {_MAX_GAUGE_COND:.2e})")
     pinv = np.linalg.inv(p)
-    return ResidueConfig(
-        pinv @ config.b1 @ p, pinv @ config.b2 @ p,
-        pinv @ config.b3 @ p, pinv @ config.b4 @ p,
-        config.lm)
+    return ResidueConfig(pinv @ config.b1 @ p, pinv @ config.b2 @ p,
+                         pinv @ config.b4 @ p, config.lm)
 
 
 @dataclass
@@ -172,15 +161,6 @@ class Trajectory:
         return drift
 
 
-def _path_points(t_path: Sequence[complex], per_segment: int) -> np.ndarray:
-    pts = []
-    for seg in range(len(t_path) - 1):
-        a, b = complex(t_path[seg]), complex(t_path[seg + 1])
-        chunk = a + (b - a) * np.linspace(0.0, 1.0, per_segment + 1)
-        pts.extend(chunk if seg == 0 else chunk[1:])
-    return np.asarray(pts)
-
-
 def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
                           tol: float = 1e-10, samples_per_segment: int = 200
                           ) -> Trajectory:
@@ -198,11 +178,21 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     by name (the benchmark tracer counts `nfev` that way) still see it.
     `reduced_flow_compare` calls it by the same name, so such a count also
     takes in the reduced flow's evaluations.
-    Raises PathError when the path comes within 0.001 of t = 0 or t = 1,
-    or when a segment fails.
+    Raises PathError when the path has fewer than two points or a leg of
+    zero length, comes within 0.001 of t = 0 or t = 1, or when a segment
+    fails, and ValueError when `samples_per_segment` is below 1.
     """
-    t_eval_all = _path_points(t_path, samples_per_segment)
-    if np.min(np.abs(t_eval_all)) < 1e-3 or np.min(np.abs(t_eval_all - 1.0)) < 1e-3:
+    if samples_per_segment < 1:
+        raise ValueError(f"samples_per_segment must be at least 1, not {samples_per_segment}")
+    pts = [complex(t) for t in t_path]
+    if len(pts) < 2:
+        raise PathError(f"a path needs at least two points, not {len(pts)}")
+    legs = [(a, b - a) for a, b in zip(pts, pts[1:])]
+    if any(dt == 0 for _, dt in legs):
+        raise PathError("a path leg has zero length")
+    s_eval = np.linspace(0.0, 1.0, samples_per_segment + 1)
+    ts = np.concatenate([a + s_eval[min(seg, 1):] * dt for seg, (a, dt) in enumerate(legs)])
+    if np.min(np.abs(ts)) < 1e-3 or np.min(np.abs(ts - 1.0)) < 1e-3:
         raise PathError("path passes within 0.001 of a pole position")
 
     b4 = config.b4.copy()
@@ -210,17 +200,12 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
 
     z0 = np.concatenate([config.b1.ravel(), config.b2.ravel()])
     state = np.concatenate([z0.real, z0.imag])
-    s_eval = np.linspace(0.0, 1.0, samples_per_segment + 1)
-    ts_out = [t_eval_all[:1]]
     bb_out = [np.stack([config.b1, config.b2])[None]]
     # the right-hand side's scratch: (B1, B2) and the divisors (t, t - 1)
     bb = np.empty((2, 3, 3), dtype=complex)
     bb_re, bb_im = bb.real.reshape(18), bb.imag.reshape(18)
     poles = np.empty((2, 1, 1), dtype=complex)
-    for seg in range(len(t_path) - 1):
-        a, b = complex(t_path[seg]), complex(t_path[seg + 1])
-        dt = b - a
-
+    for seg, (a, dt) in enumerate(legs):
         def rhs(s, y):
             bb_re[:] = y[:18]
             bb_im[:] = y[18:]
@@ -239,14 +224,12 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
         if not sol.success:
             raise PathError(f"integration failed on segment {seg}: {sol.message}")
         ys = sol.y[:, 1:]
-        ts_out.append(a + s_eval[1:] * dt)
         bb_out.append((ys[:18] + 1j * ys[18:]).T.reshape(-1, 2, 3, 3))
         state = sol.y[:, -1]
 
     samples = np.concatenate(bb_out)
     # contiguous copies: einsum's summation order depends on the strides
-    return Trajectory(np.concatenate(ts_out), samples[:, 0].copy(), samples[:, 1].copy(),
-                      b4, config.lm)
+    return Trajectory(ts, samples[:, 0].copy(), samples[:, 1].copy(), b4, config.lm)
 
 
 @dataclass
@@ -267,11 +250,14 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     (x, y, f), runs with `solve_ivp` along the line from the first sample
     to the last, and `max_deviation` is the largest distance of its x and y
     from the matrix flow's at the samples.  Raises PathError when the
-    samples do not run along one straight line.
+    samples do not run forward along one straight line, as on a path that
+    turns back.
     """
     a_c, b_c, k_c, c_c = (float(v) for v in cubic_coeffs(traj.lm))
     xs_m, ys_m, fs_m = traj.xs(), traj.ys(), traj.fs()
     t0, dt = complex(traj.ts[0]), complex(traj.ts[-1] - traj.ts[0])
+    if dt == 0:
+        raise PathError("the reduced flow needs a path whose last point differs from its first")
     s_eval = (traj.ts - t0) / dt
     if np.abs(s_eval.imag).max() > 1e-9 or np.any(np.diff(s_eval.real) <= 0):
         raise PathError("the reduced flow needs samples along one straight line")

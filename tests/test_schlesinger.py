@@ -61,12 +61,13 @@ def klein_traj():
 
 def _invariant_errors(config):
     """Distances of a ResidueConfig from its defining constraints (all
-    should be tiny)."""
+    should be tiny).  B3 is -B4 - B1 - B2, so the residues sum to zero by
+    construction."""
     errs = {}
-    errs["sum"] = float(np.abs(config.b1 + config.b2 + config.b3 + config.b4).max())
+    b3 = -config.b4 - config.b1 - config.b2
     for name, b, lam in (("b1", config.b1, config.lm.lambdas[0]),
                          ("b2", config.b2, config.lm.lambdas[1]),
-                         ("b3", config.b3, config.lm.lambdas[2])):
+                         ("b3", b3, config.lm.lambdas[2])):
         errs[f"trace_{name}"] = abs(np.trace(b) - float(lam))
         s = np.linalg.svd(b, compute_uv=False)
         errs[f"rank_{name}"] = float(s[1] / max(s[0], 1e-30))
@@ -77,7 +78,6 @@ def _invariant_errors(config):
 def test_sampler_invariants():
     config = sample_residues(KLEIN, seed=1)
     errs = _invariant_errors(config)
-    assert errs["sum"] < 1e-12
     assert errs["b4_eigs"] < 1e-8
     for name in ("b1", "b2", "b3"):
         assert errs[f"trace_{name}"] < 1e-10
@@ -288,6 +288,22 @@ def test_path_validation():
         integrate_schlesinger(config, [0.5, 1.0 + 1e-9])
 
 
+@pytest.mark.parametrize("t_path, match", [
+    ([], "at least two points, not 0"), ([0.5], "at least two points, not 1"),
+    ([0.5, 0.5], "zero length"), ([0.5, 0.6, 0.6 + 0j, 0.7], "zero length")])
+def test_degenerate_path_is_a_path_error(t_path, match):
+    config = sample_residues(KLEIN, seed=1)
+    with pytest.raises(PathError, match=match):
+        integrate_schlesinger(config, t_path)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_samples_per_segment_below_one_is_refused(samples):
+    config = sample_residues(KLEIN, seed=1)
+    with pytest.raises(ValueError, match=f"at least 1, not {samples}"):
+        integrate_schlesinger(config, [0.5, 0.6], samples_per_segment=samples)
+
+
 def test_b4_constant_and_isospectral(klein_traj):
     assert klein_traj.eigenvalue_drift() < 1e-8
     # Tr B4^2 and Tr B4^3 are constants of motion by construction
@@ -344,6 +360,14 @@ def test_reduced_flow_refuses_a_bent_path():
     traj = integrate_schlesinger(config, [0.5, 0.5 + 0.2j, 0.7 + 0.2j],
                                  samples_per_segment=20)
     with pytest.raises(PathError, match="one straight line"):
+        reduced_flow_compare(traj)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduced_flow_refuses_a_path_that_returns_to_its_start():
+    config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
+    traj = integrate_schlesinger(config, [0.5, 0.6, 0.5], samples_per_segment=20)
+    with pytest.raises(PathError, match="last point differs from its first"):
         reduced_flow_compare(traj)
 
 

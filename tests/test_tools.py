@@ -123,6 +123,19 @@ def test_cli_snapshot_records_the_single_class_warning_and_refusal(tmp_path, mon
         "error: G648: --fix-first needs the reflections")
 
 
+def test_cli_snapshot_records_every_command_and_names_the_silent_ones(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_snapshot, "COMMANDS", [
+        ("groups-info-no-spec", ["groups", "info"]),
+        ("groups-list", ["groups", "list"])])
+    assert cli_snapshot.main([str(tmp_path)]) == 1
+    assert (tmp_path / "groups-info-no-spec.json").read_text() == ""
+    assert (tmp_path / "groups-info-no-spec.status").read_text() == "2\n"
+    assert (tmp_path / "groups-list.status").read_text() == "0\n"
+    assert "G336" in json.loads((tmp_path / "groups-list.json").read_text())["groups"]
+    assert "no output (see their .err files): groups-info-no-spec\n" in capsys.readouterr().err
+
+
 def test_cli_snapshot_needs_one_output_directory(capsys):
     assert cli_snapshot.main([]) == 2
     assert "usage" in capsys.readouterr().err
