@@ -10,7 +10,6 @@ from .params import (
     LambdaMu,
     Theta,
     lambda_mu_of_triple,
-    mu_from_degrees,
     theta_map,
     canonical_theta,
     pvi_abcd,

@@ -33,6 +33,7 @@ fingerprints alone, as raw integer coefficient tuples (`_act`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -265,27 +266,12 @@ def orbit(seed: Union[Fingerprint, Sequence[Mat3]], generators: str = "full",
 def orbit_partition(classes: Sequence[TripleClass]) -> List[int]:
     """Sizes of the full-braid-group orbits on a set of triple classes.
 
-    `classes` is a list as `classify_triples` returns it.  The orbits are
-    the pieces of its class graph: each class's `braid_images` are the
-    positions of the classes of beta1 and beta2 of its representative, so
-    the walk is integer work, with no fingerprint map and no key.  A class
-    whose image is not in the list (None) raises OrbitBoundError.
+    `classes` is a list as `classify_triples` returns it, whose walk of the
+    class graph gives each class its piece, `TripleClass.orbit`: its braid
+    orbit when every image is in the list.  A class with an image not in
+    the list (None) raises OrbitBoundError.
     """
-    seen = [False] * len(classes)
-    sizes = []
-    for start in range(len(classes)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        piece = [start]                 # doubles as the walk's queue
-        for c in piece:
-            for d in classes[c].braid_images:
-                if d is None:
-                    raise OrbitBoundError(
-                        "braid image leaves the supplied class set; "
-                        "classify without first_fixed restriction first")
-                if not seen[d]:
-                    seen[d] = True
-                    piece.append(d)
-        sizes.append(len(piece))
-    return sorted(sizes)
+    if any(None in cls.braid_images for cls in classes):
+        raise OrbitBoundError("braid image leaves the supplied class set; "
+                              "classify without first_fixed restriction first")
+    return sorted(Counter(cls.orbit for cls in classes).values())

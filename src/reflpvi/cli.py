@@ -39,6 +39,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -361,13 +362,14 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
-def _bounded(kind, low, strict=False):
-    """An argparse type: a `kind` value >= low, or > low when strict.
-    NaN compares false either way, so it is refused."""
+def _bounded(kind, low):
+    """An argparse type: a finite `kind` value >= low.  NaN and inf fail
+    `low <= value < inf`, so they are refused; an int is always finite."""
     def parse(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"needs a value {'>' if strict else '>='} {low}")
+        if not low <= value < math.inf:
+            finite = ", and finite" if kind is float else ""
+            raise argparse.ArgumentTypeError(f"needs a value >= {low}{finite}")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
@@ -444,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(verify, "lemma-params", cmd_verify, seed, count)
     _leaf(verify, "cubic", cmd_verify, seed, count)
     schlesinger = _leaf(verify, "schlesinger", cmd_verify, seed)
-    schlesinger.add_argument("--tol", type=_bounded(float, 0, strict=True), default=1e-10,
-                             help="integration tolerance")
+    # the least --tol is schlesinger.MIN_TOL, spelled without numpy
+    schlesinger.add_argument("--tol", type=_bounded(float, 100 * sys.float_info.epsilon),
+                             default=1e-10, help="integration tolerance")
     schlesinger.add_argument("--dump", help="write the trajectory samples to this CSV path")
     _leaf(verify, "eta-pvi", cmd_verify, seed, tabular=True)
 

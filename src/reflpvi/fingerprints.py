@@ -45,9 +45,6 @@ class Fingerprint:
     def key(self):
         return tuple(v.key() for v in self._values())
 
-    def quintuple(self) -> Tuple[CycloNum, CycloNum, CycloNum, CycloNum, CycloNum]:
-        return (self.w, self.x, self.y, self.p, self.q)
-
     def all_t_minus_one(self) -> bool:
         minus_one = CycloNum.from_rational(-1)
         return self.t1 == minus_one and self.t2 == minus_one and self.t3 == minus_one
@@ -119,15 +116,17 @@ class TripleClass:
     `braid_images` are the positions, in the list this class came in, of
     the classes of beta1 and beta2 of its representative (see
     `reflpvi.braid`), or None where that class is not in the list.  They
-    are the edges of the class graph that `orbit_partition` walks.  A
-    braid move keeps the subgroup a triple generates, so
-    `generated_order` is one value for every class of a braid orbit.
+    are the edges of the class graph.  `orbit` is the position of the
+    first class of this class's piece of it, its braid orbit when no image
+    is None.  A braid move keeps the subgroup a triple generates, so
+    `generated_order` is one value for every class of a piece.
     """
     fingerprint: Fingerprint
     representative: Tuple[Mat3, Mat3, Mat3]
     multiplicity: int
     generated_order: int
     braid_images: Tuple[Optional[int], Optional[int]]
+    orbit: int
 
 
 def _interned(values: Sequence[CycloNum], n: int) -> List[int]:
@@ -182,8 +181,9 @@ def classify_triples(group: ReflectionGroup,
     <r1, r2, r3>, since r2^-1 r1 r2 lies in <r1, r2> and r1 in
     <r2, r2^-1 r1 r2>.  So the generated order is walked on the columns
     (`ReflectionGroup.generated_order_by_columns`) from the representative
-    of the first class not yet given one, and given to every class the
-    graph reaches from it: once per braid orbit when no image is None.
+    of the first class not yet given one, and given with that class's
+    position (`TripleClass.orbit`) to every class the graph reaches from
+    it: once per braid orbit when no image is None.
     The image of a representative need not be the representative of its
     class; that each class's own representative generates a subgroup of
     the order given is checked on every class of the Table-1 groups by the
@@ -246,17 +246,17 @@ def classify_triples(group: ReflectionGroup,
     images = [(class_of(j, col[j][col[i][inv[j]]], k), class_of(i, k, col[k][col[j][inv[k]]]))
               for _, _, (i, j, k), _ in rows]
 
-    # one generated order per braid orbit, walked from its first class
-    orders = [0] * len(rows)
+    # one piece per braid orbit, walked from its first class p: orbit p
+    orbits, orders = [None] * len(rows), {}
     for p, (_, _, (i, j, k), _) in enumerate(rows):
-        if not orders[p]:
+        if orbits[p] is None:
             orders[p] = group.generated_order_by_columns((col[i], col[j], col[k]))
-            piece = [p]
+            orbits[p], piece = p, [p]
             for q in piece:
                 for r in images[q]:
-                    if r is not None and not orders[r]:
-                        orders[r] = orders[p]
+                    if r is not None and orbits[r] is None:
+                        orbits[r] = p
                         piece.append(r)
     refl = dict(zip(refl_idx, group.reflections))
-    return [TripleClass(fp, (refl[i], refl[j], refl[k]), count, order, pair)
-            for (fp, _, (i, j, k), count), order, pair in zip(rows, orders, images)]
+    return [TripleClass(fp, (refl[i], refl[j], refl[k]), count, orders[o], pair, o)
+            for (fp, _, (i, j, k), count), pair, o in zip(rows, images, orbits)]

@@ -109,14 +109,6 @@ def lambda_mu_of_triple(triple: Sequence[Mat3]) -> LambdaMu:
     return LambdaMu(tuple(lambdas), _spectrum_of_order(prod, prod.order(1000)))
 
 
-def mu_from_degrees(degrees: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:
-    """Exponent ratios (d_i - 1)/d_3 of an ascending degree triple."""
-    d1, d2, d3 = degrees
-    if not d1 <= d2 <= d3:
-        raise ValueError("degrees must be ascending")
-    return (Fraction(d1 - 1, d3), Fraction(d2 - 1, d3), Fraction(d3 - 1, d3))
-
-
 def theta_map(lm: LambdaMu, perm: Sequence[int] = (0, 1, 2)) -> Theta:
     """Signed theta parameters with the mu's permuted by `perm`."""
     mu = [lm.mus[perm[0]], lm.mus[perm[1]], lm.mus[perm[2]]]

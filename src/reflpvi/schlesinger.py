@@ -92,6 +92,8 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
 # Largest condition number accepted for the eigenvector matrix of B4: past
 # 1/sqrt(machine eps) the conjugated residues lose half their digits.
 _MAX_GAUGE_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+# The least tol: 100 machine epsilons, below which rk45 no longer matches scipy.
+MIN_TOL = 100 * float(np.finfo(float).eps)
 
 
 def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
@@ -178,15 +180,21 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     by name (the benchmark tracer counts `nfev` that way) still see it.
     `reduced_flow_compare` calls it by the same name, so such a count also
     takes in the reduced flow's evaluations.
-    Raises PathError when the path has fewer than two points or a leg of
-    zero length, comes within 0.001 of t = 0 or t = 1, or when a segment
-    fails, and ValueError when `samples_per_segment` is below 1.
+    Raises PathError when the path has fewer than two points, a point not
+    finite or a leg of zero length, comes within 0.001 of t = 0 or t = 1,
+    or when a segment fails, and ValueError when `samples_per_segment` is
+    below 1 or `tol` is not a finite value of at least `MIN_TOL`.
     """
     if samples_per_segment < 1:
         raise ValueError(f"samples_per_segment must be at least 1, not {samples_per_segment}")
+    if not MIN_TOL <= tol < np.inf:
+        raise ValueError(f"tol must be finite and at least {MIN_TOL}, not {tol}")
     pts = [complex(t) for t in t_path]
     if len(pts) < 2:
         raise PathError(f"a path needs at least two points, not {len(pts)}")
+    for n, t in enumerate(pts):
+        if not np.isfinite(t):
+            raise PathError(f"path point {n}, {t}, is not finite")
     legs = [(a, b - a) for a, b in zip(pts, pts[1:])]
     if any(dt == 0 for _, dt in legs):
         raise PathError("a path leg has zero length")
@@ -291,34 +299,15 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     return ReducedFlowReport(float(max_dev), conservation, f_cons)
 
 
-def eta_samples(traj: Trajectory) -> Dict[Tuple[int, int], np.ndarray]:
-    """Roots of the linear off-diagonal entries of z(z-1)(z-t) B(z).
-
-    Valid when B4 is diagonal (checked); slots whose linear coefficient
-    drops below 1e-8 are omitted.
-    """
-    offdiag = np.abs(traj.b4 - np.diag(np.diag(traj.b4))).max()
-    if offdiag > 1e-9:
-        raise ValueError("eta extraction needs the gauge with B4 diagonal")
-    b3 = traj.b3s()
-    ts = traj.ts[:, None, None]
-    # entry (i,j) of z(z-1)(z-t)B(z) is -lin_ij * z + t * (B1)_ij, so the
-    # root is t (B1)_ij / lin_ij
-    lin = (1 + ts) * traj.b1s + ts * traj.b2s + b3
-    const = ts * traj.b1s
-    return {(i, j): const[:, i, j] / lin[:, i, j] for i in range(3) for j in range(3)
-            if i != j and np.abs(lin[:, i, j]).min() >= 1e-8}
-
-
 def trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Dump t, x, y, f and the available eta slots for offline plotting."""
+    """Dump t, x, y, f and (in the diagonal gauge) each slot's eta for plotting."""
     import csv
     columns = {"t": traj.ts, "x": traj.xs(), "y": traj.ys(), "f": traj.fs()}
     try:
-        etas = eta_samples(traj)
+        etas = eta_derivatives(traj)
     except ValueError:
-        etas = {}  # eta slots need the diagonal gauge
-    columns.update((f"eta_{i+1}{j+1}", vals) for (i, j), vals in etas.items())
+        etas = {}
+    columns.update((f"eta_{i+1}{j+1}", eta) for (i, j), (eta, _, _) in etas.items())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -336,33 +325,39 @@ class SlotResidual:
 
 def eta_derivatives(traj: Trajectory
                     ) -> Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """eta, eta' and eta'' of each slot of `eta_samples`, from the flow.
+    """Each slot's root eta = N / L, with eta' and eta'' from the flow.
 
-    With eta = N / L entrywise, N = t B1 and L = (1 + t) B1 + t B2 + B3,
-    the quotient rule gives eta' = (N' - eta L') / L and
-    eta'' = (N'' - 2 eta' L' - eta L'') / L.  The Schlesinger equations give
-    B1' = [B3, B1] / t, B2' = [B3, B2] / (t - 1) and B3' = -B1' - B2', so
-    N' = B1 + [B3, B1] and N'' = B1' + [B3', B1] + [B3, B1'], and off the
-    diagonal of the gauge, with d = diag(B4), L' = (d_i - d_j - 1) B3 and
+    In the gauge with B4 diagonal (else ValueError), entry (i, j) of
+    z(z-1)(z-t) B(z) is -L_ij z + N_ij, with N = t B1 and
+    L = (1 + t) B1 + t B2 + B3.  Slots i != j come in row-major order; one
+    whose |L_ij| drops below 1e-8 is left out.  The quotient rule gives
+    eta' = (N' - eta L') / L and eta'' = (N'' - 2 eta' L' - eta L'') / L.
+    The Schlesinger equations give B1' = [B3, B1] / t,
+    B2' = [B3, B2] / (t - 1) and B3' = -B1' - B2', so N' = B1 + [B3, B1]
+    and N'' = B1' + [B3', B1] + [B3, B1'], and off the diagonal of the
+    gauge, with d = diag(B4), L' = (d_i - d_j - 1) B3 and
     L'' = (1 + d_j - d_i) (B1' + B2').
     """
-    etas = eta_samples(traj)
+    if np.abs(traj.b4 - np.diag(np.diag(traj.b4))).max() > 1e-9:
+        raise ValueError("eta extraction needs the gauge with B4 diagonal")
     b1, b2, b3 = traj.b1s, traj.b2s, traj.b3s()
     t = traj.ts[:, None, None]
+    lin, const = (1 + t) * b1 + t * b2 + b3, t * b1
     b1p = (b3 @ b1 - b1 @ b3) / t
     b12p = b1p + (b3 @ b2 - b2 @ b3) / (t - 1.0)
     d = np.diag(traj.b4)
     gap = d[:, None] - d[None, :]
-    lin = (1 + t) * b1 + t * b2 + b3
     lin_p, lin_pp = (gap - 1.0) * b3, (1.0 - gap) * b12p
     const_p = b1 + t * b1p
     const_pp = b1p + b1 @ b12p - b12p @ b1 + b3 @ b1p - b1p @ b3
     out = {}
-    for (i, j), eta in etas.items():
-        etap = (const_p[:, i, j] - eta * lin_p[:, i, j]) / lin[:, i, j]
-        etapp = (const_pp[:, i, j] - 2 * etap * lin_p[:, i, j]
-                 - eta * lin_pp[:, i, j]) / lin[:, i, j]
-        out[(i, j)] = (eta, etap, etapp)
+    for i, j in permutations(range(3), 2):
+        if np.abs(lin[:, i, j]).min() >= 1e-8:
+            eta = const[:, i, j] / lin[:, i, j]
+            etap = (const_p[:, i, j] - eta * lin_p[:, i, j]) / lin[:, i, j]
+            etapp = (const_pp[:, i, j] - 2 * etap * lin_p[:, i, j]
+                     - eta * lin_pp[:, i, j]) / lin[:, i, j]
+            out[(i, j)] = (eta, etap, etapp)
     return out
 
 

@@ -270,6 +270,17 @@ def test_class_graph_follows_the_fingerprint_maps(spec, fixed_first):
         assert cls.generated_order == group.generated_order_by_columns(rep)
 
 
+@pytest.mark.parametrize("name", ["g336", "g648", "icosa", "g413"])
+def test_class_orbit_is_its_fingerprint_orbit(name, request):
+    """The classes whose fingerprints lie in the full braid orbit of a
+    class's fingerprint are exactly those that share its `orbit`."""
+    classes = classify_triples(request.getfixturevalue(name))
+    by_key = {cls.fingerprint.key(): p for p, cls in enumerate(classes)}
+    for cls in classes:
+        reached = {by_key[fp.key()] for fp in orbit(cls.fingerprint, "full").orbit}
+        assert reached == {p for p, other in enumerate(classes) if other.orbit == cls.orbit}
+
+
 @pytest.mark.parametrize("name", ["g648", "g413"])
 def test_orbit_partition_refuses_classes_braid_moves_leave(name, request):
     """With the first reflection fixed in a group of two reflection classes,

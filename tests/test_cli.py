@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reflpvi import cli, schlesinger
@@ -76,12 +77,26 @@ def test_ignored_verify_flag_is_a_usage_error(check, flags, capsys):
     ("schlesinger", ["--tol", "nan"]),
     ("lemma-params", ["--seed", "-1"]), ("cubic", ["--seed", "-1"]),
     ("schlesinger", ["--seed", "-1"]), ("eta-pvi", ["--seed", "-1"]),
+    ("schlesinger", ["--tol", "inf"]), ("schlesinger", ["--tol", "1e-100"]),
+    ("schlesinger", ["--tol", "1e-300"]),
+    ("schlesinger", ["--tol", repr(float(np.nextafter(schlesinger.MIN_TOL, 0)))]),
 ])
-def test_out_of_range_verify_flag_is_a_usage_error(check, flags, capsys):
+def test_out_of_range_verify_flag_is_a_usage_error(check, flags, capsys, monkeypatch):
+    """Refused while parsing, before the check runs: at --tol 1e-100 the
+    integration would not end."""
+    def unreachable(args):
+        raise AssertionError("ran the check before refusing")
+    monkeypatch.setattr(cli, "cmd_verify", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["verify", check] + flags)
     assert exc.value.code == 2
     assert f"argument {flags[0]}: needs a value" in capsys.readouterr().err
+
+
+def test_least_tolerance_is_the_library_floor():
+    parse = cli.build_parser().parse_args
+    assert parse(["verify", "schlesinger", "--tol", repr(schlesinger.MIN_TOL)]).tol \
+        == schlesinger.MIN_TOL
 
 
 @pytest.mark.parametrize("argv", [["groups", "list"], ["params", "table"]])

@@ -15,7 +15,7 @@ def test_commuting_diagonal_triple():
     r3 = Mat3.from_rationals([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     fp = fingerprint([r1, r2, r3])
     zero = CycloNum.zero(1)
-    assert fp.quintuple() == (zero, zero, zero, zero, zero)
+    assert (fp.w, fp.x, fp.y, fp.p, fp.q) == (zero, zero, zero, zero, zero)
     minus_one = CycloNum.from_rational(-1)
     assert (fp.t1, fp.t2, fp.t3) == (minus_one, minus_one, minus_one)
 
@@ -25,7 +25,7 @@ def test_repeated_reflection_triple():
     fp = fingerprint([r, r, r])
     four = CycloNum.from_rational(4)
     minus_eight = CycloNum.from_rational(-8)
-    assert fp.quintuple() == (four, four, four, minus_eight, minus_eight)
+    assert (fp.w, fp.x, fp.y, fp.p, fp.q) == (four, four, four, minus_eight, minus_eight)
     assert fp.p * fp.q == fp.w * fp.x * fp.y  # = 64
 
 

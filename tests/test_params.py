@@ -8,20 +8,9 @@ from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import (LambdaMu, SumConstraintError, Theta,
                             canonical_theta, cubic_coeffs, expected_theta_row,
                             f_hitchin_squared, f_squared, lambda_mu_of_triple,
-                            mu_from_degrees, pvi_abcd, random_lambda_mu,
-                            table1, theta_map)
+                            pvi_abcd, random_lambda_mu, table1, theta_map)
 
 F = Fraction
-
-
-def test_mu_from_degrees():
-    assert mu_from_degrees((4, 6, 14)) == (F(3, 14), F(5, 14), F(13, 14))
-    assert mu_from_degrees((2, 6, 10)) == (F(1, 10), F(1, 2), F(9, 10))
-    m = 5
-    assert mu_from_degrees((3, m, 2 * m)) == (F(2, 2 * m), F(m - 1, 2 * m),
-                                              F(2 * m - 1, 2 * m))
-    with pytest.raises(ValueError):
-        mu_from_degrees((6, 4, 14))
 
 
 def test_lambda_mu_of_triple(g336):

@@ -13,9 +13,8 @@ from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import LambdaMu, cubic_coeffs, lambda_mu_of_triple, pvi_abcd, theta_map
 from reflpvi.schlesinger import (DegenerateSampleError, PathError,
                                  diagonalize_gauge, eta_derivatives,
-                                 eta_pvi_residual, eta_samples,
-                                 integrate_schlesinger, reduced_flow_compare,
-                                 sample_residues)
+                                 eta_pvi_residual, integrate_schlesinger,
+                                 reduced_flow_compare, sample_residues)
 
 F = Fraction
 
@@ -297,6 +296,29 @@ def test_degenerate_path_is_a_path_error(t_path, match):
         integrate_schlesinger(config, t_path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_path, point", [
+    ([0.5, float("nan")], "1, (nan+0j)"), ([0.5, float("inf")], "1, (inf+0j)"),
+    ([complex(0.5, float("nan")), 0.6], "0, (0.5+nanj)")])
+def test_non_finite_path_point_is_a_path_error(t_path, point):
+    config = sample_residues(KLEIN, seed=1)
+    with pytest.raises(PathError) as exc:
+        integrate_schlesinger(config, t_path, samples_per_segment=4)
+    assert str(exc.value) == f"path point {point}, is not finite"
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 1e-100, 1e-300, 0.0, -1e-10,
+                                 np.nextafter(schlesinger.MIN_TOL, 0)])
+def test_tolerance_the_stepper_cannot_meet_is_refused(tol, monkeypatch):
+    """Refused before any integration: at 1e-100 the stepper would not end."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr(schlesinger, "solve_ivp", unreachable)
+    config = sample_residues(KLEIN, seed=1)
+    with pytest.raises(ValueError, match="tol must be finite and at least 2.22"):
+        integrate_schlesinger(config, [0.5, 0.6], tol=tol, samples_per_segment=4)
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_samples_per_segment_below_one_is_refused(samples):
     config = sample_residues(KLEIN, seed=1)
@@ -411,14 +433,13 @@ def test_eta_residuals_match_per_permutation_rhs(row):
 @pytest.mark.parametrize("row", sorted(PINNED_ROWS))
 def test_eta_derivatives_match_finite_differences(row):
     """An independent check of the closed form: on the uniform eta grid,
-    fourth-order central differences of eta_samples agree with eta' and
+    fourth-order central differences of eta agree with eta' and
     eta'' at the interior samples of every checked slot."""
     traj, checked = _checked_eta(PINNED_ROWS[row])
     h = traj.ts[1].real - traj.ts[0].real
     derivatives = eta_derivatives(traj)
     for sr in checked:
         eta, etap, etapp = derivatives[sr.slot]
-        assert np.array_equal(eta, eta_samples(traj)[sr.slot])
         fd_p = (-eta[4:] + 8 * eta[3:-1] - 8 * eta[1:-3] + eta[:-4]) / (12 * h)
         fd_pp = (-eta[4:] + 16 * eta[3:-1] - 30 * eta[2:-2]
                  + 16 * eta[1:-3] - eta[:-4]) / (12 * h * h)
@@ -471,7 +492,7 @@ def test_eta_samples_need_gauge():
     traj = integrate_schlesinger(config, [0.5, 0.55], tol=1e-9,
                                  samples_per_segment=20)
     with pytest.raises(ValueError):
-        eta_samples(traj)
+        eta_derivatives(traj)
 
 
 def test_eta_pvi_residual():

@@ -57,8 +57,11 @@ COMMANDS = (
        ("orbits-G3-1-3", ["orbits", "--spec", "G(3,1,3)"]),
        ("orbits-G2160", ["orbits", "--spec", "G2160"]),
        ("orbits-G1296", ["orbits", "--spec", "G1296"]),
-       ("orbits-G4-1-3", ["orbits", "--spec", "G(4,1,3)"]),
-       ("reproduce-klein", ["reproduce", "klein"]),
+       ("orbits-G4-1-3", ["orbits", "--spec", "G(4,1,3)"])]
+    + [(f"orbits-{_name(s)}", ["orbits", "--spec", s])
+       for s in ("G(2,1,3)", "G(2,2,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,3)", "G(6,6,3)",
+                 "G(5,1,3)", "G(6,1,3)")]
+    + [("reproduce-klein", ["reproduce", "klein"]),
        ("verify-lemma-params", ["verify", "lemma-params", "--count", "20"]),
        ("verify-cubic", ["verify", "cubic", "--count", "20"]),
        ("verify-schlesinger", ["verify", "schlesinger", "--seed", "1"]),
@@ -67,6 +70,7 @@ COMMANDS = (
        ("verify-eta-pvi", ["verify", "eta-pvi", "--seed", "1"]),
        ("verify-eta-pvi-seed-3", ["verify", "eta-pvi", "--seed", "3"])]
     + [("refuse-verify-eta-pvi-tol", ["verify", "eta-pvi", "--tol", "1e-8"]),
+       ("refuse-verify-schlesinger-tol-inf", ["verify", "schlesinger", "--tol", "inf"]),
        ("refuse-verify-cubic-count-0", ["verify", "cubic", "--count", "0"]),
        ("refuse-groups-list-spec", ["groups", "list", "--spec", "G336"]),
        ("refuse-groups-info-no-spec", ["groups", "info"]),
