@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
 
 
 def _verify_schlesinger(config, args) -> dict:
-    from .schlesinger import (integrate_schlesinger, reduced_flow_compare,
+    from .schlesinger import (flow_ok, integrate_schlesinger, reduced_flow_compare,
                               trajectory_csv)
     traj = integrate_schlesinger(config, [0.5, 0.8], tol=args.tol,
                                  samples_per_segment=300)
@@ -294,9 +294,7 @@ def _verify_schlesinger(config, args) -> dict:
         trajectory_csv(traj, args.dump)
     rep = reduced_flow_compare(traj)
     drift = traj.eigenvalue_drift()
-    ok = (drift < 1e-8 and rep.max_deviation < 1e-6
-          and rep.f_consistency < 1e-8)
-    return {"check": "schlesinger", "ok": ok,
+    return {"check": "schlesinger", "ok": flow_ok(drift, rep),
             "eigenvalue_drift": drift,
             "reduced_flow_deviation": rep.max_deviation,
             "f_squared_consistency": rep.f_consistency,
@@ -304,26 +302,13 @@ def _verify_schlesinger(config, args) -> dict:
 
 
 def _verify_eta_pvi(config) -> dict:
-    from .schlesinger import integrate_schlesinger, eta_pvi_residual
-    traj = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
-                                 samples_per_segment=100)
-    res = eta_pvi_residual(traj)
-    rows = []
-    ok = True
-    checked = 0
-    for slot, sr in sorted(res.items()):
-        if sr.skipped:
-            rows.append({"slot": f"{slot[0]+1}{slot[1]+1}",
-                         "skipped": sr.skipped})
-            continue
-        checked += 1
-        n_small = sum(1 for v in sr.residuals_by_perm.values() if v < 1e-3)
-        ok = ok and sr.residual < 1e-3 and n_small == 1
-        rows.append({"slot": f"{slot[0]+1}{slot[1]+1}",
-                     "residual": sr.residual,
-                     "perm": list(sr.best_perm)})
-    ok = ok and checked >= 1
-    return {"check": "eta-pvi", "ok": ok, "rows": rows}
+    from .schlesinger import eta_ok, eta_pvi_residual, integrate_schlesinger
+    res = eta_pvi_residual(integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
+                                                 samples_per_segment=100))
+    rows = [{"slot": f"{i+1}{j+1}", "skipped": sr.skipped} if sr.skipped else
+            {"slot": f"{i+1}{j+1}", "residual": sr.residual, "perm": list(sr.best_perm)}
+            for (i, j), sr in sorted(res.items())]
+    return {"check": "eta-pvi", "ok": eta_ok(res), "rows": rows}
 
 
 def cmd_reproduce(args) -> int:

@@ -157,9 +157,9 @@ def classify_triples(group: ReflectionGroup,
     tr(ij), tr(ik), tr(jk), tr(ijk), tr(kji), of which the fingerprint is
     an invertible affine image; all of them sit at the closure conductor,
     where equal values have equal coefficients, so two triples share a key
-    exactly when they share a fingerprint.  Products are read off one
-    right-multiplication column per reflection (`ReflectionGroup.column`),
-    and so is each class's Fingerprint (`_from_traces`).
+    exactly when they share a fingerprint.  The scan reads products off one
+    right-multiplication column per reflection (`ReflectionGroup.column`);
+    a class's Fingerprint is `fingerprint_by_indices` of its representative.
 
     Without `first_fixed`, only the earliest member of each conjugacy class
     C of reflections is scanned as first element, with weight |C| (with it,
@@ -222,15 +222,9 @@ def classify_triples(group: ReflectionGroup,
                 else:
                     entry[3] += weight
 
-    traces, dets = group.traces, group.dets
-    rows = []                               # (fingerprint, scan key, (i, j, k), count)
-    for key, (i, j, k, count) in found.items():
-        ci, cj, ck = col[i], col[j], col[k]
-        ij = cj[i]
-        fp = _from_traces((dets[i], dets[j], dets[k]), (traces[ij], traces[ck[i]], traces[ck[j]]),
-                          (traces[ck[ij]], traces[ci[cj[k]]]))
-        rows.append((fp, key, (i, j, k), count))
-    rows.sort(key=lambda row: row[0].key())
+    rows = sorted(((fingerprint_by_indices(group, (i, j, k)), key, (i, j, k), count)
+                   for key, (i, j, k, count) in found.items()),
+                  key=lambda row: row[0].key())
 
     # the class graph: beta1 (i, j, k) = (j, j^-1 i j, k), beta2 (i, j, k) =
     # (i, k, k^-1 j k), looked up by the scan's key of the image

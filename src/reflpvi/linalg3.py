@@ -5,10 +5,11 @@ denominator, as integer coefficient tuples on the power basis.  Products
 then run in pure integer arithmetic: each entry is one call of the
 conductor's compiled product `cyclotomic.field(n).dot` (three
 convolutions summed, one reduction), looked up once per matrix, and
-one gcd pass per matrix makes equal matrices at one conductor have equal
-keys.  The adjugate of the numerators, nine 2x2 minors by the same kernel,
-gives det, charpoly, inverse and rank; the pseudo-reflection test needs only
-the four minors through the first nonzero entry of M - I.
+a CycloNum's normal form (`cyclotomic._normalize`), taken over all nine
+entries at once, makes equal matrices at one conductor have equal keys.
+The adjugate of the numerators, nine 2x2 minors by the same kernel,
+gives det, charpoly, inverse and rank; the pseudo-reflection test needs
+only the four minors through the first nonzero entry of M - I.
 `row_map` compiles a matrix into a map on exact row vectors, the form
 `Mat3.rows` reads its rows in: the nonzero integer weights of each input
 coefficient, no convolution.  `Mat3.order`, and through it the order
@@ -25,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import (
     CycloNum,
+    _normalize,
     cyclotomic_polynomial,
     euler_phi,
     field,
@@ -56,25 +58,11 @@ class Mat3:
         nums = tuple(tuple(e) for e in nums)
         if len(nums) != 9 or any(len(e) != d for e in nums):
             raise ValueError("Mat3 needs 9 entries of length phi(n)")
-        if _normalized:
-            self.n, self.den, self.nums = n, den, nums
-            return
-        if den < 0:
-            den = -den
-            nums = tuple(tuple(-c for c in e) for e in nums)
-        g = den
-        for e in nums:
-            for c in e:
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            nums = tuple(tuple(c // g for c in e) for e in nums)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
+        if not _normalized and den != 1:        # den 1 is the normal form already
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            flat, den = _normalize([c for e in nums for c in e], den)
+            nums = tuple(flat[k:k + d] for k in range(0, 9 * d, d))
         self.n, self.den, self.nums = n, den, nums
 
     # -- constructors ----------------------------------------------------

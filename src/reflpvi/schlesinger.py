@@ -94,6 +94,9 @@ def sample_residues(lm: LambdaMu, seed: int) -> ResidueConfig:
 _MAX_GAUGE_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 # The least tol: 100 machine epsilons, below which rk45 no longer matches scipy.
 MIN_TOL = 100 * float(np.finfo(float).eps)
+# The bounds of `flow_ok` and `eta_ok`; the benchmark's perfbench/workloads.py
+# keeps a frozen copy, which the tests compare with these.
+DRIFT_BOUND, FLOW_BOUND, F_CONSISTENCY_BOUND, ETA_BOUND = 1e-8, 1e-6, 1e-8, 1e-3
 
 
 def diagonalize_gauge(config: ResidueConfig) -> ResidueConfig:
@@ -299,6 +302,13 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     return ReducedFlowReport(float(max_dev), conservation, f_cons)
 
 
+def flow_ok(drift: float, rep: ReducedFlowReport) -> bool:
+    """The `verify schlesinger` verdict: the eigenvalue drift, the reduced
+    flow's deviation and its f^2 consistency each below their bound."""
+    return (drift < DRIFT_BOUND and rep.max_deviation < FLOW_BOUND
+            and rep.f_consistency < F_CONSISTENCY_BOUND)
+
+
 def trajectory_csv(traj: Trajectory, path: str) -> None:
     """Dump t, x, y, f and (in the diagonal gauge) each slot's eta for plotting."""
     import csv
@@ -407,3 +417,11 @@ def eta_pvi_residual(traj: Trajectory) -> Dict[Tuple[int, int], SlotResidual]:
         best = min(by_perm, key=by_perm.get)
         out[slot] = SlotResidual(slot, by_perm[best], best, by_perm)
     return out
+
+
+def eta_ok(residuals: Dict[Tuple[int, int], SlotResidual]) -> bool:
+    """The `verify eta-pvi` verdict: some slot is checked, and each checked
+    slot fits exactly one mu-permutation below ETA_BOUND (so its best does)."""
+    checked = [sr for sr in residuals.values() if not sr.skipped]
+    return bool(checked) and all(
+        sum(v < ETA_BOUND for v in sr.residuals_by_perm.values()) == 1 for sr in checked)

@@ -19,9 +19,10 @@ from reflpvi.groups import GroupSpec, build_group
 from reflpvi.params import (LambdaMu, canonical_theta, f_hitchin_squared,
                             f_squared, lambda_mu_of_triple, pvi_abcd,
                             random_lambda_mu, table1, theta_map)
-from reflpvi.schlesinger import (diagonalize_gauge, eta_pvi_residual,
-                                 integrate_schlesinger, reduced_flow_compare,
-                                 sample_residues)
+from reflpvi.schlesinger import (DRIFT_BOUND, ETA_BOUND, FLOW_BOUND,
+                                 F_CONSISTENCY_BOUND, diagonalize_gauge, eta_ok,
+                                 eta_pvi_residual, flow_ok, integrate_schlesinger,
+                                 reduced_flow_compare, sample_residues)
 
 
 def braid_act_word(word, triple):
@@ -205,25 +206,17 @@ def test_criterion_7_numerics():
     traj = integrate_schlesinger(config, [0.5, 0.8], tol=1e-10,
                                  samples_per_segment=300)
     drift = traj.eigenvalue_drift()
-    ok = drift < 1e-8
     rep = reduced_flow_compare(traj)
-    ok = ok and rep.max_deviation < 1e-6
-    ok = ok and rep.f_consistency < 1e-8
+    ok = flow_ok(drift, rep)
 
     short = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
                                   samples_per_segment=100)
     res = eta_pvi_residual(short)
-    checked = 0
-    for sr in res.values():
-        if sr.skipped:
-            continue
-        checked += 1
-        ok = ok and sr.residual < 1e-3
-        small = [p for p, v in sr.residuals_by_perm.items() if v < 1e-3]
-        ok = ok and len(small) == 1
-    ok = ok and checked >= 1
+    ok = ok and eta_ok(res)
+    checked = sum(1 for sr in res.values() if not sr.skipped)
     elapsed = time.time() - start
     ok = ok and elapsed < 60
-    report(7, ok, f"eigen drift {drift:.1e} < 1e-8, reduced-flow dev {rep.max_deviation:.1e} < 1e-6, "
-                  f"f^2 match {rep.f_consistency:.1e} < 1e-8, eta-PVI residual < 1e-3 on {checked} slots, "
-                  f"in {elapsed:.1f}s (< 1 min)")
+    report(7, ok, f"eigen drift {drift:.1e} < {DRIFT_BOUND:g}, reduced-flow dev "
+                  f"{rep.max_deviation:.1e} < {FLOW_BOUND:g}, f^2 match "
+                  f"{rep.f_consistency:.1e} < {F_CONSISTENCY_BOUND:g}, eta-PVI residual "
+                  f"< {ETA_BOUND:g} on {checked} slots, in {elapsed:.1f}s (< 1 min)")

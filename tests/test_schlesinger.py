@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from itertools import permutations
 from pathlib import Path
@@ -15,6 +16,11 @@ from reflpvi.schlesinger import (DegenerateSampleError, PathError,
                                  diagonalize_gauge, eta_derivatives,
                                  eta_pvi_residual, integrate_schlesinger,
                                  reduced_flow_compare, sample_residues)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the benchmark's frozen copy of the verify verdicts
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
 
 F = Fraction
 
@@ -37,7 +43,7 @@ TABLE1_LM = {
     "G2160": ((F(1, 2), F(1, 2), F(1, 2)), (F(1, 6), F(11, 30), F(29, 30))),
 }
 
-_FROZEN_LM = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "lambda_mu.json"
+_FROZEN_LM = PERFBENCH / "reference" / "lambda_mu.json"
 
 
 def test_table1_lambda_mu_copies_match_the_exact_layer():
@@ -462,6 +468,7 @@ def test_tied_permutations_pass_together(row):
         assert small == {p for p in abcd if abcd[p] == abcd[sr.best_perm]}
     assert any(sum(v < 1e-3 for v in sr.residuals_by_perm.values()) > 1
                for sr in checked)
+    assert not schlesinger.eta_ok({sr.slot: sr for sr in checked})
 
 
 def test_trajectory_rows(klein_traj, tmp_path):
@@ -535,3 +542,51 @@ def test_complex_path_segment():
                                  tol=1e-9, samples_per_segment=40)
     assert traj.eigenvalue_drift() < 1e-7
     assert len(traj.ts) == 81
+
+
+def test_flow_ok_turns_false_just_above_each_bound():
+    def ok(drift=0.0, deviation=0.0, consistency=0.0):
+        return schlesinger.flow_ok(
+            drift, schlesinger.ReducedFlowReport(deviation, 0.0, consistency))
+    assert ok()
+    for name, bound in (("drift", schlesinger.DRIFT_BOUND),
+                        ("deviation", schlesinger.FLOW_BOUND),
+                        ("consistency", schlesinger.F_CONSISTENCY_BOUND)):
+        assert ok(**{name: np.nextafter(bound, 0.0)})
+        assert not ok(**{name: bound})
+        assert not ok(**{name: np.nextafter(bound, np.inf)})
+
+
+def _slot(*values, skipped=None):
+    """A SlotResidual with the given residual per mu-permutation."""
+    by_perm = dict(zip(permutations(range(3)), values))
+    best = min(by_perm, key=by_perm.get) if by_perm else None
+    return schlesinger.SlotResidual((0, 1), by_perm[best] if by_perm else float("inf"),
+                                    best, by_perm, skipped)
+
+
+_ONE = (1e-9, 1.0, 2.0, 3.0, 4.0, 5.0)
+ETA_CASES = {
+    "one fit": ({(0, 1): _slot(*_ONE)}, True),
+    "one fit and a skipped slot": ({(0, 1): _slot(*_ONE),
+                                    (1, 0): _slot(skipped="root escapes to infinity")}, True),
+    "no slot": ({}, False),
+    "only skipped slots": ({(0, 1): _slot(skipped="root approaches a singular point")}, False),
+    "tied slot": ({(0, 1): _slot(1e-9, 1e-9, 2.0, 3.0, 4.0, 5.0)}, False),
+    "no fit": ({(0, 1): _slot(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)}, False),
+    "fit at the bound": ({(0, 1): _slot(1e-3, 1.0, 2.0, 3.0, 4.0, 5.0)}, False),
+    "one slot fails": ({(0, 1): _slot(*_ONE), (1, 0): _slot(*(1.0,) * 6)}, False),
+    "not a number": ({(0, 1): _slot(*(float("nan"),) * 6)}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ETA_CASES))
+def test_eta_ok_agrees_with_the_benchmarks_frozen_rule(case):
+    residuals, expected = ETA_CASES[case]
+    assert schlesinger.eta_ok(residuals) is expected
+    assert workloads._eta_ok(residuals) is expected
+
+
+def test_verdict_bounds_equal_the_benchmarks_frozen_copy():
+    for name in ("DRIFT_BOUND", "FLOW_BOUND", "F_CONSISTENCY_BOUND", "ETA_BOUND"):
+        assert getattr(schlesinger, name) == getattr(workloads, name), name

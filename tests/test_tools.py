@@ -136,6 +136,18 @@ def test_cli_snapshot_records_every_command_and_names_the_silent_ones(
     assert "no output (see their .err files): groups-info-no-spec\n" in capsys.readouterr().err
 
 
+def test_cli_snapshot_names_a_refuse_command_that_does_not_refuse(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_snapshot, "COMMANDS", [
+        ("refuse-groups-list", ["groups", "list"]),
+        ("refuse-groups-info-no-spec", ["groups", "info"])])
+    assert cli_snapshot.main([str(tmp_path)]) == 1
+    assert (tmp_path / "refuse-groups-list.status").read_text() == "0\n"
+    assert (tmp_path / "refuse-groups-info-no-spec.status").read_text() == "2\n"
+    assert "not refused (exit 0 or output on stdout): refuse-groups-list\n" in \
+        capsys.readouterr().err
+
+
 def test_cli_snapshot_needs_one_output_directory(capsys):
     assert cli_snapshot.main([]) == 2
     assert "usage" in capsys.readouterr().err

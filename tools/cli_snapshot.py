@@ -9,8 +9,10 @@ OUTDIR/<name>.err and its exit status to OUTDIR/<name>.status.  The
 `refuse-` commands write no output, so their .json is empty: the usage
 errors exit 2, and `orbits --spec G648 --fix-first`, which the command
 itself refuses since G648's reflections form two conjugacy classes, exits
-1.  Every other command must write output: all commands are recorded,
-and the script then exits 1, naming each one that wrote none.
+1.  Every other command must write output.  All commands are recorded;
+the script then exits 1 if any broke those rules, naming each other
+command that wrote no output and each `refuse-` command that exited 0 or
+wrote to stdout.
 Snapshots of two trees, made on the same machine, compare with
 `diff -r OLD NEW`: every file is the same exactly when the commands give
 byte-identical output.  The numerical `verify` commands are included at
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TREE / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.pop("REFLPVI_OUTPUT_DIR", None)
-    silent = []
+    silent, accepted = [], []
     for name, cmd in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "reflpvi.cli", *cmd],
                               env=env, capture_output=True, text=True)
@@ -100,11 +102,17 @@ def main(argv=None) -> int:
         (out / f"{name}.err").write_text(proc.stderr)
         (out / f"{name}.status").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
-        if not proc.stdout and not name.startswith("refuse-"):
+        if name.startswith("refuse-"):
+            if proc.returncode == 0 or proc.stdout:
+                accepted.append(name)
+        elif not proc.stdout:
             silent.append(name)
     if silent:
         print(f"no output (see their .err files): {', '.join(silent)}", file=sys.stderr)
-    return 1 if silent else 0
+    if accepted:
+        print(f"not refused (exit 0 or output on stdout): {', '.join(accepted)}",
+              file=sys.stderr)
+    return 1 if silent or accepted else 0
 
 
 if __name__ == "__main__":

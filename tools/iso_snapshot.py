@@ -16,9 +16,9 @@ line per op to OUTFILE:
 - `drift`: the repr of `Trajectory.eigenvalue_drift()`
 - `eta`: the repr of each slot's `SlotResidual` from `eta_pvi_residual`,
   residuals by permutation included
-- `verdict`: the benchmark's verdict, made from the values above with the
-  bounds and the `_eta_ok` rule of `perfbench/workloads.py`, but without its
-  CPU-time deadline
+- `verdict`: the benchmark's verdict, made from the values above by the
+  `verify` commands' rules `schlesinger.flow_ok` and `schlesinger.eta_ok`,
+  but without the benchmark's CPU-time deadline
 
 A sample the diagonal gauge refuses writes only its refusal.  Snapshots of
 two trees, made on the same machine, compare with `diff OLD NEW`: no line
@@ -66,9 +66,7 @@ def snapshot_op(lm, residue_seed: int) -> dict:
         rep = schlesinger.reduced_flow_compare(traj)
         drift = traj.eigenvalue_drift()
         out.update(flow_sha256=_sha256(traj), report=repr(rep), drift=repr(drift))
-        flow_ok = (drift < workloads.DRIFT_BOUND
-                   and rep.max_deviation < workloads.FLOW_BOUND
-                   and rep.f_consistency < workloads.F_CONSISTENCY_BOUND)
+        flow_ok = schlesinger.flow_ok(drift, rep)
         t_path, tol, samples = ETA_PATH
         eta_traj = schlesinger.integrate_schlesinger(config, t_path, tol=tol,
                                                      samples_per_segment=samples)
@@ -82,7 +80,7 @@ def snapshot_op(lm, residue_seed: int) -> dict:
             eta_ok = False
         else:
             out["eta"] = {f"{i + 1}{j + 1}": repr(sr) for (i, j), sr in residuals.items()}
-            eta_ok = workloads._eta_ok(residuals)
+            eta_ok = schlesinger.eta_ok(residuals)
     except schlesinger.PathError as exc:
         out.update(path_error=str(exc), verdict="path_error")
         return out
