@@ -25,12 +25,12 @@ The verify checks:
                   residue sample built from them has -B4 with spectrum mu,
                   and f^2 is the shifted theta cubic of every mu order at
                   ten points that fix a cubic
-    schlesinger   the G336 Schlesinger flow keeps its eigenvalues and
-                  follows the reduced (x, y, f) flow, integrated by the
-                  same RK45 stepper
-    eta-pvi       the slot roots eta of that flow solve PVI under exactly
-                  one order of the mu's, with eta' and eta'' read off the
-                  Schlesinger equations
+    schlesinger   G336's Schlesinger flow (`schlesinger.flow_trajectory`)
+                  keeps its eigenvalues and follows the reduced (x, y, f)
+                  flow, integrated by the same RK45 stepper
+    eta-pvi       the slot roots eta of `schlesinger.eta_trajectory` solve
+                  PVI under exactly one order of the mu's, with eta' and
+                  eta'' read off the Schlesinger equations
 """
 
 from __future__ import annotations
@@ -273,8 +273,7 @@ def cmd_verify(args) -> int:
     # the floating-point layer (numpy) is imported only by these two checks
     from .schlesinger import (DegenerateSampleError, PathError, sample_residues,
                               diagonalize_gauge)
-    lm = LambdaMu((Fraction(1, 2),) * 3,
-                  (Fraction(3, 14), Fraction(5, 14), Fraction(13, 14)))
+    lm = lambda_mu_of_triple(build_group(GroupSpec.exceptional("G336")).generators)
     try:
         config = diagonalize_gauge(sample_residues(lm, seed=args.seed))
         payload = (_verify_schlesinger(config, args) if args.check == "schlesinger"
@@ -286,10 +285,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_schlesinger(config, args) -> dict:
-    from .schlesinger import (flow_ok, integrate_schlesinger, reduced_flow_compare,
-                              trajectory_csv)
-    traj = integrate_schlesinger(config, [0.5, 0.8], tol=args.tol,
-                                 samples_per_segment=300)
+    from .schlesinger import flow_ok, flow_trajectory, reduced_flow_compare, trajectory_csv
+    traj = flow_trajectory(config, tol=args.tol)
     if args.dump:
         trajectory_csv(traj, args.dump)
     rep = reduced_flow_compare(traj)
@@ -302,9 +299,8 @@ def _verify_schlesinger(config, args) -> dict:
 
 
 def _verify_eta_pvi(config) -> dict:
-    from .schlesinger import eta_ok, eta_pvi_residual, integrate_schlesinger
-    res = eta_pvi_residual(integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
-                                                 samples_per_segment=100))
+    from .schlesinger import eta_ok, eta_pvi_residual, eta_trajectory
+    res = eta_pvi_residual(eta_trajectory(config))
     rows = [{"slot": f"{i+1}{j+1}", "skipped": sr.skipped} if sr.skipped else
             {"slot": f"{i+1}{j+1}", "residual": sr.residual, "perm": list(sr.best_perm)}
             for (i, j), sr in sorted(res.items())]

@@ -7,8 +7,8 @@ operation and in the same order, what `scipy.integrate.solve_ivp` with
 `common.py`, `base.py`, `ivp.py`): the tableau, `select_initial_step`, the
 step-size controller, the stage sums of `rk_step`, the RMS error norm and
 the `RkDenseOutput` interpolation at the requested samples.  Trajectories
-and evaluation counts are therefore bitwise equal to scipy's; the test
-suite and `tools/rk45_parity.py` check that against scipy itself.
+and evaluation counts are bitwise scipy's, under `solve_ivp`'s scalar-type
+contract; the test suite and `tools/rk45_parity.py` check that against scipy.
 
 The entry point keeps scipy's name, `solve_ivp`, and its result keeps
 `y`, `nfev`, `success` and `message`, so that code written against the
@@ -115,6 +115,11 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
     when `fun` turns NaN part way) `success` is False and `message` is
     scipy's.  A start state or start derivative that is not finite fails
     at once with `NOT_FINITE`, where scipy's step loop would never end.
+
+    `fun` gets s as a Python float where scipy passes a numpy float64, so
+    the two agree when `fun`'s floats do not hang on that type: s times a
+    Python complex is a numpy complex128 under scipy, which divides with
+    other rounding, so `schlesinger.reduced_flow_compare` takes float(s).
     """
     t_eval = np.asarray(t_eval)
     if (t_eval.ndim != 1 or np.any(t_eval < 0.0) or np.any(t_eval > 1.0)

@@ -243,6 +243,16 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     return Trajectory(ts, samples[:, 0].copy(), samples[:, 1].copy(), b4, config.lm)
 
 
+def flow_trajectory(config: ResidueConfig, tol: float = 1e-10) -> Trajectory:
+    """The run `verify schlesinger` checks: 0.5 -> 0.8, 300 samples."""
+    return integrate_schlesinger(config, [0.5, 0.8], tol=tol, samples_per_segment=300)
+
+
+def eta_trajectory(config: ResidueConfig) -> Trajectory:
+    """The run `verify eta-pvi` checks: 0.5 -> 0.6 at tol 1e-12, 100 samples."""
+    return integrate_schlesinger(config, [0.5, 0.6], tol=1e-12, samples_per_segment=100)
+
+
 @dataclass
 class ReducedFlowReport:
     max_deviation: float
@@ -274,11 +284,11 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
         raise PathError("the reduced flow needs samples along one straight line")
 
     # the state is (x, y, f) split into real and imaginary parts, and the
-    # right-hand side runs on Python complex numbers, which cost less per
-    # operation than numpy scalars
+    # right-hand side runs on Python complex numbers (float(s) too, as scipy
+    # passes a float64), which cost less per operation than numpy scalars
     def rhs(s, u):
         x, y, f = (u[:3] + 1j * u[3:]).tolist()
-        t = t0 + s * dt
+        t = t0 + float(s) * dt
         lin = a_c * x + b_c * y + k_c
         fx = 2 * a_c * lin + 4 * y * (2 * x + y - c_c)
         fy = 2 * b_c * lin + 4 * x * (x + 2 * y - c_c)

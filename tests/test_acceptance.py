@@ -21,8 +21,8 @@ from reflpvi.params import (LambdaMu, canonical_theta, f_hitchin_squared,
                             random_lambda_mu, table1, theta_map)
 from reflpvi.schlesinger import (DRIFT_BOUND, ETA_BOUND, FLOW_BOUND,
                                  F_CONSISTENCY_BOUND, diagonalize_gauge, eta_ok,
-                                 eta_pvi_residual, flow_ok, integrate_schlesinger,
-                                 reduced_flow_compare, sample_residues)
+                                 eta_pvi_residual, eta_trajectory, flow_ok,
+                                 flow_trajectory, reduced_flow_compare, sample_residues)
 
 
 def braid_act_word(word, triple):
@@ -203,15 +203,12 @@ def test_criterion_7_numerics():
     start = time.time()
     lm = LambdaMu((F(1, 2),) * 3, (F(3, 14), F(5, 14), F(13, 14)))
     config = diagonalize_gauge(sample_residues(lm, seed=1))
-    traj = integrate_schlesinger(config, [0.5, 0.8], tol=1e-10,
-                                 samples_per_segment=300)
+    traj = flow_trajectory(config)
     drift = traj.eigenvalue_drift()
     rep = reduced_flow_compare(traj)
     ok = flow_ok(drift, rep)
 
-    short = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
-                                  samples_per_segment=100)
-    res = eta_pvi_residual(short)
+    res = eta_pvi_residual(eta_trajectory(config))
     ok = ok and eta_ok(res)
     checked = sum(1 for sr in res.values() if not sr.skipped)
     elapsed = time.time() - start

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from reflpvi import cli, schlesinger
 from reflpvi.cli import main
+from reflpvi.params import LambdaMu
 from reflpvi.schlesinger import DegenerateSampleError, PathError
 
 
@@ -261,6 +263,31 @@ def test_verify_schlesinger_dump(capsys, tmp_path):
     assert lines[0].split(",") == ["t", "x", "y", "f", "eta_12", "eta_13", "eta_21",
                                    "eta_23", "eta_31", "eta_32"]
     assert len(lines) == 1 + 301
+
+
+def test_verify_reports_the_verify_runs(capsys):
+    """`verify schlesinger|eta-pvi --seed 1` report the values that
+    `flow_trajectory` and `eta_trajectory` give on residue sample 1 of
+    G336's (lambda, mu)."""
+    lm = LambdaMu((F(1, 2),) * 3, (F(3, 14), F(5, 14), F(13, 14)))
+    config = schlesinger.diagonalize_gauge(schlesinger.sample_residues(lm, seed=1))
+    traj = schlesinger.flow_trajectory(config)
+    rep = schlesinger.reduced_flow_compare(traj)
+    _, out = run_cli(capsys, "verify", "schlesinger", "--seed", "1")
+    payload = json.loads(out)
+    assert [payload[k] for k in ("eigenvalue_drift", "reduced_flow_deviation",
+                                 "f_squared_consistency", "conservation_drift")] == [
+        traj.eigenvalue_drift(), rep.max_deviation, rep.f_consistency, rep.conservation_drift]
+    res = schlesinger.eta_pvi_residual(schlesinger.eta_trajectory(config))
+    _, out = run_cli(capsys, "verify", "eta-pvi", "--seed", "1")
+    rows = {row["slot"]: row for row in json.loads(out)["rows"]}
+    assert len(rows) == len(res)
+    for (i, j), sr in res.items():
+        row = rows[f"{i + 1}{j + 1}"]
+        if sr.skipped:
+            assert row["skipped"] == sr.skipped
+        else:
+            assert (row["residual"], row["perm"]) == (sr.residual, list(sr.best_perm))
 
 
 @pytest.mark.parametrize("check", ["schlesinger", "eta-pvi"])

@@ -1,4 +1,5 @@
 import json
+import signal
 import sys
 import time
 from itertools import permutations
@@ -173,23 +174,26 @@ def _integrate_per_matrix(config, t_path, tol, samples_per_segment):
     return np.array(ts, dtype=complex), np.array(b1s), np.array(b2s)
 
 
-# The CLI's two verdict settings: `verify schlesinger` and `verify eta-pvi`.
-VERDICT_PATHS = {"flow": ([0.5, 0.8], 1e-10, 300), "eta": ([0.5, 0.6], 1e-12, 100)}
+# The runs of `verify schlesinger` and `verify eta-pvi`, each with its
+# recipe (path, tol, samples per segment) written out as the spec.
+VERIFY_RUNS = {"flow": (schlesinger.flow_trajectory, [0.5, 0.8], 1e-10, 300),
+               "eta": (schlesinger.eta_trajectory, [0.5, 0.6], 1e-12, 100)}
 
 
-@pytest.mark.parametrize("lm, t_path, tol, samples", [
-    pytest.param(KLEIN, [0.5, 0.8], 1e-11, 300, id="t_path0-300"),
-    pytest.param(KLEIN, [0.5, 0.5 + 0.2j, 0.7 + 0.2j], 1e-11, 40, id="t_path1-40"),
+@pytest.mark.parametrize("lm, run, t_path, tol, samples", [
+    pytest.param(KLEIN, None, [0.5, 0.8], 1e-11, 300, id="t_path0-300"),
+    pytest.param(KLEIN, None, [0.5, 0.5 + 0.2j, 0.7 + 0.2j], 1e-11, 40, id="t_path1-40"),
 ] + [
-    pytest.param(LambdaMu(*TABLE1_LM[group]), *VERDICT_PATHS[kind], id=f"{group}-{kind}")
-    for group in TABLE1_LM if group != "G(3,3,3)" for kind in VERDICT_PATHS
+    pytest.param(LambdaMu(*TABLE1_LM[group]), *VERIFY_RUNS[kind], id=f"{group}-{kind}")
+    for group in TABLE1_LM if group != "G(3,3,3)" for kind in VERIFY_RUNS
 ])
-def test_stacked_flow_matches_per_matrix_flow(lm, t_path, tol, samples):
+def test_stacked_flow_matches_per_matrix_flow(lm, run, t_path, tol, samples):
     """The stacked right-hand side integrated by reflpvi.rk45 against the
-    per-matrix one integrated by scipy's RK45: bitwise equal samples."""
+    per-matrix one integrated by scipy's RK45: bitwise equal samples.  A
+    verify run is checked through its own function, against its recipe."""
     config = diagonalize_gauge(sample_residues(lm, seed=1))
-    traj = integrate_schlesinger(config, t_path, tol=tol,
-                                 samples_per_segment=samples)
+    traj = run(config) if run else integrate_schlesinger(
+        config, t_path, tol=tol, samples_per_segment=samples)
     ts, b1s, b2s = _integrate_per_matrix(config, t_path, tol, samples)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.b1s, b1s)
@@ -368,12 +372,31 @@ def test_reduced_flow_follows_f_through_zero(row):
     """At residue seed 3 the real f of every row changes sign on [0.5, 0.8];
     a square root with a nearest-branch rule keeps +|f| past the zero."""
     config = diagonalize_gauge(sample_residues(LambdaMu(*TABLE1_LM[row]), seed=3))
-    t_path, tol, samples = VERDICT_PATHS["flow"]
-    traj = integrate_schlesinger(config, t_path, tol=tol, samples_per_segment=samples)
+    traj = schlesinger.flow_trajectory(config)
     fs = traj.fs()
     assert np.abs(fs.imag).max() < 1e-12
     assert fs.real.min() < 0 < fs.real.max()
     assert reduced_flow_compare(traj).max_deviation < 1e-6
+
+
+def test_reduced_flow_integration_matches_scipy(monkeypatch):
+    """The reduced flow's integration on the `verify schlesinger` run of
+    Klein seed 1 equals scipy's in y and nfev, though scipy hands its
+    right-hand side s as a numpy float64 and rk45 as a Python float."""
+    traj = schlesinger.flow_trajectory(diagonalize_gauge(sample_residues(KLEIN, seed=1)))
+    calls = []
+
+    def record(fun, y0, t_eval, **kw):
+        calls.append((fun, y0, t_eval, kw, rk45.solve_ivp(fun, y0, t_eval, **kw)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(schlesinger, "solve_ivp", record)
+    reduced_flow_compare(traj)
+    [(fun, y0, t_eval, kw, ours)] = calls
+    ref = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", t_eval=t_eval, **kw)
+    assert ours.success and ref.success
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.y, ref.y)
 
 
 def test_reduced_flow_sees_wrong_cubic_constants(klein_traj, monkeypatch):
@@ -411,8 +434,7 @@ def _pvi_rhs(eta, etap, t, alpha, beta, gamma, delta):
 def _checked_eta(lm, residue_seed=1):
     """The eta-path trajectory of a row and the slots its residual checks."""
     config = diagonalize_gauge(sample_residues(lm, seed=residue_seed))
-    t_path, tol, samples = VERDICT_PATHS["eta"]
-    traj = integrate_schlesinger(config, t_path, tol=tol, samples_per_segment=samples)
+    traj = schlesinger.eta_trajectory(config)
     checked = [sr for sr in eta_pvi_residual(traj).values() if not sr.skipped]
     assert checked
     return traj, checked
@@ -504,9 +526,7 @@ def test_eta_samples_need_gauge():
 
 def test_eta_pvi_residual():
     config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
-    traj = integrate_schlesinger(config, [0.5, 0.6], tol=1e-12,
-                                 samples_per_segment=100)
-    res = eta_pvi_residual(traj)
+    res = eta_pvi_residual(schlesinger.eta_trajectory(config))
     assert len(res) == 6
     checked = 0
     perms_seen = set()
@@ -590,3 +610,31 @@ def test_eta_ok_agrees_with_the_benchmarks_frozen_rule(case):
 def test_verdict_bounds_equal_the_benchmarks_frozen_copy():
     for name in ("DRIFT_BOUND", "FLOW_BOUND", "F_CONSISTENCY_BOUND", "ETA_BOUND"):
         assert getattr(schlesinger, name) == getattr(workloads, name), name
+
+
+def test_benchmark_verdict_makes_the_verify_runs(monkeypatch):
+    """The benchmark's frozen `isomonodromy_verdict` integrates the same
+    paths, tolerances and sample counts as `flow_trajectory` and
+    `eta_trajectory`, in the same order."""
+    calls = []
+    real = schlesinger.integrate_schlesinger
+
+    def record(config, t_path, **kw):
+        calls.append((list(t_path), kw))
+        return real(config, t_path, **kw)
+
+    monkeypatch.setattr(schlesinger, "integrate_schlesinger", record)
+    config = diagonalize_gauge(sample_residues(KLEIN, seed=1))
+    schlesinger.flow_trajectory(config)
+    schlesinger.eta_trajectory(config)
+    runs = calls[:]
+    calls.clear()
+    # the verdict's CPU-time timer raises SIGPROF, which ends the process
+    # unless the benchmark's handler is set
+    previous = signal.getsignal(signal.SIGPROF)
+    workloads.arm_deadlines()
+    try:
+        assert workloads.isomonodromy_verdict(KLEIN, 1) == "ok"
+    finally:
+        signal.signal(signal.SIGPROF, previous)
+    assert len(runs) == 2 and calls == runs

@@ -17,6 +17,7 @@ sys.path.insert(0, str(TOOLS))
 import bench_pairs  # noqa: E402
 import cli_snapshot  # noqa: E402
 import iso_snapshot  # noqa: E402
+import rk45_parity  # noqa: E402
 
 
 def test_bench_pairs_records_a_missing_package_as_none():
@@ -78,6 +79,19 @@ def test_iso_snapshot_records_a_refused_sample():
     op = iso_snapshot.snapshot_op(lm, 5)
     assert op["verdict"] == "degenerate_sample"
     assert op["degenerate"].startswith("B4 has no eigenbasis")
+
+
+def test_rk45_parity_compares_every_integration_of_an_op(monkeypatch, capsys):
+    """G336 seed 1 makes three integrations, the two matrix flows and the
+    reduced flow, and each equals scipy's."""
+    workloads = iso_snapshot.workloads
+    lm = workloads.table_lambda_mu()["G336"]
+    monkeypatch.setattr(workloads, "table_lambda_mu", lambda: {"G336": lm})
+    monkeypatch.setattr(workloads, "ISO_POOL", (1,))
+    assert rk45_parity.main() == 0
+    counts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert counts == {"integrations": "3", "y_differ": "0", "nfev_differ": "0",
+                      "success_differ": "0", "parity": "ok"}
 
 
 def test_cli_snapshot_writes_output_and_status_per_command(tmp_path, monkeypatch):

@@ -6,9 +6,8 @@ The float-layer counterpart of `tools/cli_snapshot.py`.  Runs every
 (Table-1 row, residue seed) pair of the benchmark's isomonodromy pool (the
 13 rows of `perfbench/reference/lambda_mu.json` times residue seeds 1..64)
 with the `reflpvi` package of the tree this script sits in, through the two
-integrations the `verify` commands make (0.5 -> 0.8 at tol 1e-10 with 300
-samples, and 0.5 -> 0.6 at tol 1e-12 with 100 samples), and writes one JSON
-line per op to OUTFILE:
+runs the `verify` commands make (`schlesinger.flow_trajectory` and
+`schlesinger.eta_trajectory`), and writes one JSON line per op to OUTFILE:
 
 - `flow_sha256`, `eta_sha256`: sha256 of each trajectory's `ts`, `b1s` and
   `b2s` bytes
@@ -23,7 +22,8 @@ line per op to OUTFILE:
 A sample the diagonal gauge refuses writes only its refusal.  Snapshots of
 two trees, made on the same machine, compare with `diff OLD NEW`: no line
 differs exactly when every float is bit for bit the same.  Prints the
-verdict counts to stderr.
+verdict counts to stderr.  `pool_ops` walks the pool; `tools/rk45_parity.py`
+walks it through the same generator.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ sys.path[:0] = [str(TREE / "src"), str(TREE / "perfbench")]
 
 from reflpvi import schlesinger  # noqa: E402
 import workloads  # noqa: E402
-
-FLOW_PATH = ([0.5, 0.8], 1e-10, 300)
-ETA_PATH = ([0.5, 0.6], 1e-12, 100)
 
 
 def _sha256(traj) -> str:
@@ -60,16 +57,12 @@ def snapshot_op(lm, residue_seed: int) -> dict:
         return {"degenerate": str(exc), "verdict": "degenerate_sample"}
     out = {}
     try:
-        t_path, tol, samples = FLOW_PATH
-        traj = schlesinger.integrate_schlesinger(config, t_path, tol=tol,
-                                                 samples_per_segment=samples)
+        traj = schlesinger.flow_trajectory(config)
         rep = schlesinger.reduced_flow_compare(traj)
         drift = traj.eigenvalue_drift()
         out.update(flow_sha256=_sha256(traj), report=repr(rep), drift=repr(drift))
         flow_ok = schlesinger.flow_ok(drift, rep)
-        t_path, tol, samples = ETA_PATH
-        eta_traj = schlesinger.integrate_schlesinger(config, t_path, tol=tol,
-                                                     samples_per_segment=samples)
+        eta_traj = schlesinger.eta_trajectory(config)
         out["eta_sha256"] = _sha256(eta_traj)
         try:
             residuals = schlesinger.eta_pvi_residual(eta_traj)
@@ -89,6 +82,15 @@ def snapshot_op(lm, residue_seed: int) -> dict:
     return out
 
 
+def pool_ops():
+    """Yield (row, residue seed, `snapshot_op`) for each op of the pool, in
+    order, and print each row's end to stderr."""
+    for group, lm in workloads.table_lambda_mu().items():
+        for rs in workloads.ISO_POOL:
+            yield group, rs, snapshot_op(lm, rs)
+        print(f"{group}: done", file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -96,12 +98,10 @@ def main(argv=None) -> int:
         return 2
     verdicts = Counter()
     with open(args[0], "w") as fh:
-        for group, lm in workloads.table_lambda_mu().items():
-            for rs in workloads.ISO_POOL:
-                line = {"group": group, "residue_seed": rs, **snapshot_op(lm, rs)}
-                verdicts[line["verdict"]] += 1
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-            print(f"{group}: done", file=sys.stderr, flush=True)
+        for group, rs, op in pool_ops():
+            verdicts[op["verdict"]] += 1
+            fh.write(json.dumps({"group": group, "residue_seed": rs, **op},
+                                sort_keys=True) + "\n")
     print("ops: %d, %s" % (sum(verdicts.values()), ", ".join(
         f"{v}: {n}" for v, n in sorted(verdicts.items()))), file=sys.stderr)
     return 0
