@@ -13,6 +13,14 @@ contract; the test suite and `tools/rk45_parity.py` check that against scipy.
 The entry point keeps scipy's name, `solve_ivp`, and its result keeps
 `y`, `nfev`, `success` and `message`, so that code written against the
 scipy call (and tools that look the function up by name) reads it alike.
+
+The contract for the right-hand side `fun(s, y)`: it returns a real array
+or a list of length `len(y0)`.  Its values are copied into the stepper's
+stage rows and no reference to them is kept, so `fun` may refill and
+return the same buffer on every call.  The count is scipy's,
+`nfev` = 2 + 6 per step attempt: the start derivative, the one probe of
+the starting-step choice, and six stages per attempt, the derivative at
+the start of a step being the last stage of the step before (FSAL).
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ def _initial_step(fun, y0, f0, rtol, atol, max_step):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
-    f1 = fun(0.0 + h0, y1)
+    f1 = np.asarray(fun(0.0 + h0, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -127,20 +135,16 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
         raise ValueError("t_eval must be an increasing 1-D array in [0, 1]")
     atol = np.asarray(atol)
     y = np.asarray(y0, dtype=float)
-    nfev = 0
-
-    def f_of(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
+    # K[0] holds the derivative at the step's start (FSAL: the last step's
+    # K[6]); row assignment converts what fun returns as np.asarray would
+    K = np.empty((7, y.size))
     t = 0.0
-    f = f_of(t, y)
-    h_abs = _initial_step(f_of, y, f, rtol, atol, max_step)
+    K[0] = fun(t, y)
+    nfev = 2
+    h_abs = _initial_step(fun, y, K[0], rtol, atol, max_step)
     if math.isnan(h_abs):
         # scipy would loop for ever: a NaN step is never below min_step
         return Solution(np.empty((y.size, 0)), nfev, False, NOT_FINITE)
-    K = np.empty((7, y.size), dtype=y.dtype)
     # K[:s].T for each stage, cut once: the same views, so the same dot calls
     KT = K.T
     stages = [(s, c, KT[:, :s], a) for s, (c, a) in enumerate(STAGES, start=1)]
@@ -171,17 +175,16 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
             # one Dormand-Prince step; K[6] is the derivative at the new point.
             # Each stage is scipy's y + np.dot(K[:s].T, a) * h, its products
             # and sums taken in place in the same order
-            K[0] = f
+            nfev += 6
             for s, c, k_cols, a in stages:
                 dy = np.dot(k_cols, a)
                 dy *= h
                 dy += y
-                K[s] = f_of(t + c * h, dy)
+                K[s] = fun(t + c * h, dy)
             y_new = np.dot(KT_b, B)
             y_new *= h
             y_new += y
-            f_new = f_of(t + h, y_new)
-            K[6] = f_new
+            K[6] = fun(t + h, y_new)
             abs_y_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_y_new)
             scale *= rtol
@@ -204,7 +207,7 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
         if not success:
             break
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        t, y, abs_y = t_new, y_new, abs_y_new
         t_eval_i_new = bisect.bisect_right(t_eval_list, t)
         if t_eval_i_new > t_eval_i:
             # the quartic interpolant on [t_old, t] (scipy's RkDenseOutput);
@@ -221,6 +224,7 @@ def solve_ivp(fun, y0, t_eval, rtol: float, atol: float, max_step: float) -> Sol
             y_step += y_old[:, None]
             ys.append(y_step)
             t_eval_i = t_eval_i_new
+        K[0] = K[6]
         if t >= 1.0:
             break
     y_out = np.hstack(ys) if ys else np.empty((y.size, 0))

@@ -212,23 +212,29 @@ def integrate_schlesinger(config: ResidueConfig, t_path: Sequence[complex],
     z0 = np.concatenate([config.b1.ravel(), config.b2.ravel()])
     state = np.concatenate([z0.real, z0.imag])
     bb_out = [np.stack([config.b1, config.b2])[None]]
-    # the right-hand side's scratch: (B1, B2) and the divisors (t, t - 1)
-    bb = np.empty((2, 3, 3), dtype=complex)
-    bb_re, bb_im = bb.real.reshape(18), bb.imag.reshape(18)
+    # the right-hand side's scratch: (B1, B2), B3, the two products, the
+    # divisors (t, t - 1) and the derivative d; bb_ri and d_ri see bb and d
+    # as (real parts, imaginary parts), the layout of the state
+    bb, prod_1, prod_2, d = (np.empty((2, 3, 3), dtype=complex) for _ in range(4))
+    b3 = np.empty((3, 3), dtype=complex)
     poles = np.empty((2, 1, 1), dtype=complex)
+    bb_ri, d_ri = (m.reshape(18).view(float).reshape(18, 2).T for m in (bb, d))
     for seg, (a, dt) in enumerate(legs):
         def rhs(s, y):
-            bb_re[:] = y[:18]
-            bb_im[:] = y[18:]
+            bb_ri[...] = y.reshape(2, 18)
             t = a + s * dt
             poles[0, 0, 0] = t
             poles[1, 0, 0] = t - 1.0
-            b3 = neg_b4 - bb[0] - bb[1]
-            d = b3 @ bb - bb @ b3
-            d /= poles
-            d *= dt
-            d = d.reshape(18)
-            return np.concatenate((d.real, d.imag))
+            # b3 = -B4 - B1 - B2 and d = (b3 @ bb - bb @ b3) / poles * dt,
+            # each operation into its buffer
+            np.subtract(neg_b4, bb[0], out=b3)
+            np.subtract(b3, bb[1], out=b3)
+            np.matmul(b3, bb, out=prod_1)
+            np.matmul(bb, b3, out=prod_2)
+            np.subtract(prod_1, prod_2, out=d)
+            np.divide(d, poles, out=d)
+            np.multiply(d, dt, out=d)
+            return d_ri.ravel()
 
         sol = solve_ivp(rhs, state, s_eval, rtol=tol, atol=tol * 1e-2,
                         max_step=0.05)
@@ -287,7 +293,8 @@ def reduced_flow_compare(traj: Trajectory) -> ReducedFlowReport:
     # right-hand side runs on Python complex numbers (float(s) too, as scipy
     # passes a float64), which cost less per operation than numpy scalars
     def rhs(s, u):
-        x, y, f = (u[:3] + 1j * u[3:]).tolist()
+        xr, yr, fr, xi, yi, fi = u.tolist()
+        x, y, f = complex(xr, xi), complex(yr, yi), complex(fr, fi)
         t = t0 + float(s) * dt
         lin = a_c * x + b_c * y + k_c
         fx = 2 * a_c * lin + 4 * y * (2 * x + y - c_c)

@@ -141,7 +141,8 @@ def test_gauge_on_table1_rows(group):
 
 def _integrate_per_matrix(config, t_path, tol, samples_per_segment):
     """The Schlesinger flow one residue at a time, state packed as
-    (real parts, imaginary parts) of (B1, B2)."""
+    (real parts, imaginary parts) of (B1, B2), and scipy's evaluation
+    count summed over the segments."""
     def pack(b1, b2):
         z = np.concatenate([b1.ravel(), b2.ravel()])
         return np.concatenate([z.real, z.imag])
@@ -151,6 +152,7 @@ def _integrate_per_matrix(config, t_path, tol, samples_per_segment):
         return z[:9].reshape(3, 3), z[9:].reshape(3, 3)
 
     ts, b1s, b2s = [t_path[0]], [config.b1], [config.b2]
+    nfev = 0
     state = pack(config.b1, config.b2)
     s_eval = np.linspace(0.0, 1.0, samples_per_segment + 1)
     for a, b in zip(t_path, t_path[1:]):
@@ -165,13 +167,14 @@ def _integrate_per_matrix(config, t_path, tol, samples_per_segment):
 
         sol = solve_ivp(rhs, (0.0, 1.0), state, method="RK45", rtol=tol,
                         atol=tol * 1e-2, t_eval=s_eval, max_step=0.05)
+        nfev += sol.nfev
         for k in range(1, len(s_eval)):
             b1, b2 = unpack(sol.y[:, k])
             ts.append(a + s_eval[k] * dt)
             b1s.append(b1)
             b2s.append(b2)
         state = sol.y[:, -1]
-    return np.array(ts, dtype=complex), np.array(b1s), np.array(b2s)
+    return np.array(ts, dtype=complex), np.array(b1s), np.array(b2s), nfev
 
 
 # The runs of `verify schlesinger` and `verify eta-pvi`, each with its
@@ -187,17 +190,47 @@ VERIFY_RUNS = {"flow": (schlesinger.flow_trajectory, [0.5, 0.8], 1e-10, 300),
     pytest.param(LambdaMu(*TABLE1_LM[group]), *VERIFY_RUNS[kind], id=f"{group}-{kind}")
     for group in TABLE1_LM if group != "G(3,3,3)" for kind in VERIFY_RUNS
 ])
-def test_stacked_flow_matches_per_matrix_flow(lm, run, t_path, tol, samples):
+def test_stacked_flow_matches_per_matrix_flow(lm, run, t_path, tol, samples, monkeypatch):
     """The stacked right-hand side integrated by reflpvi.rk45 against the
-    per-matrix one integrated by scipy's RK45: bitwise equal samples.  A
-    verify run is checked through its own function, against its recipe."""
+    per-matrix one integrated by scipy's RK45: bitwise equal samples, and
+    the same evaluation count as read through `schlesinger.solve_ivp` (the
+    benchmark's `schlesinger.nfev` counts it so).  A verify run is checked
+    through its own function, against its recipe."""
     config = diagonalize_gauge(sample_residues(lm, seed=1))
+    nfevs = []
+
+    def counted(*args, **kw):
+        sol = rk45.solve_ivp(*args, **kw)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(schlesinger, "solve_ivp", counted)
     traj = run(config) if run else integrate_schlesinger(
         config, t_path, tol=tol, samples_per_segment=samples)
-    ts, b1s, b2s = _integrate_per_matrix(config, t_path, tol, samples)
+    ts, b1s, b2s, nfev = _integrate_per_matrix(config, t_path, tol, samples)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.b1s, b1s)
     assert np.array_equal(traj.b2s, b2s)
+    assert len(nfevs) == len(t_path) - 1
+    assert sum(nfevs) == nfev
+
+
+def test_flow_buffers_carry_no_state_between_calls():
+    """The right-hand side's buffers are scratch: A, then B, then A again on
+    a complex two-leg path gives A's trajectory bit for bit, and no array
+    of one result shares memory with another."""
+    config_a = diagonalize_gauge(sample_residues(KLEIN, seed=1))
+    config_b = diagonalize_gauge(sample_residues(LambdaMu(*TABLE1_LM["G2160"]), seed=2))
+    path = [0.5, 0.5 + 0.2j, 0.7 + 0.2j]
+    trajs = [integrate_schlesinger(config, path, tol=1e-10, samples_per_segment=40)
+             for config in (config_a, config_b, config_a)]
+    for name in ("ts", "b1s", "b2s", "b4"):
+        assert np.array_equal(getattr(trajs[0], name), getattr(trajs[2], name))
+    assert not np.array_equal(trajs[0].b1s, trajs[1].b1s)
+    arrays = [getattr(traj, name) for traj in trajs for name in ("ts", "b1s", "b2s", "b4")]
+    for i, first in enumerate(arrays):
+        for second in arrays[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 def test_failed_integration_matches_scipy():
@@ -217,11 +250,44 @@ def test_failed_integration_matches_scipy():
     assert np.array_equal(ours.y, ref.y)
 
 
+def _stiff_rhs(s, y):
+    return -50.0 * (y - np.cos(10.0 * s))
+
+
+def _as_list(s, y):
+    return _stiff_rhs(s, y).tolist()
+
+
+_SHARED_OUT = np.empty(1)
+
+
+def _into_shared_array(s, y):
+    _SHARED_OUT[:] = _stiff_rhs(s, y)
+    return _SHARED_OUT
+
+
+@pytest.mark.parametrize("style", [_as_list, _into_shared_array],
+                         ids=["list", "same-ndarray"])
+def test_fun_contract_returned_values_are_copied(style):
+    """rk45.solve_ivp takes a list from fun, or the same ndarray refilled
+    on each call, and equals scipy's y and nfev on the rejected-steps IVP
+    integrated with a fresh array per call: the stepper copies fun's
+    values into its stage rows and keeps no reference to them, and counts
+    2 evaluations plus 6 per step attempt."""
+    s_eval = np.linspace(0.0, 1.0, 41)
+    ours = rk45.solve_ivp(style, [0.0], s_eval, rtol=1e-6, atol=1e-8, max_step=np.inf)
+    ref = solve_ivp(_stiff_rhs, (0.0, 1.0), [0.0], method="RK45", t_eval=s_eval,
+                    rtol=1e-6, atol=1e-8)
+    assert ours.success and ref.success
+    assert ours.nfev == ref.nfev
+    assert (ref.nfev - 2) % 6 == 0
+    assert np.array_equal(ours.y, ref.y)
+
+
 def test_rejected_steps_and_step_end_samples_match_scipy():
     """A scalar IVP whose steps get rejected, sampled on some of the step
     ends and between them: the same y and nfev as scipy's solve_ivp."""
-    def fun(s, y):
-        return -50.0 * (y - np.cos(10.0 * s))
+    fun = _stiff_rhs
 
     # scipy's stepper, one step at a time: the step ends, and the rejections
     # (a step that takes more than one attempt uses more than six evaluations)

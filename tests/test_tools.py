@@ -81,6 +81,24 @@ def test_iso_snapshot_records_a_refused_sample():
     assert op["degenerate"].startswith("B4 has no eigenbasis")
 
 
+def test_iso_snapshot_times_each_row_on_stderr_only(tmp_path, monkeypatch, capsys):
+    """The row's end line on stderr carries its process time; OUTFILE has
+    no time in it, so snapshots of two runs compare byte for byte."""
+    workloads = iso_snapshot.workloads
+    lm = workloads.table_lambda_mu()["G336"]
+    monkeypatch.setattr(workloads, "table_lambda_mu", lambda: {"G336": lm})
+    monkeypatch.setattr(workloads, "ISO_POOL", (1,))
+    out = tmp_path / "iso.txt"
+    assert iso_snapshot.main([str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    cpu = re.fullmatch(r"G336: done, (\d+\.\d{3}) s process time", err[0]).group(1)
+    assert float(cpu) > 0
+    assert err[1] == "ops: 1, ok: 1"
+    (line,) = out.read_text().splitlines()
+    assert json.loads(line) == {"group": "G336", "residue_seed": 1,
+                                **iso_snapshot.snapshot_op(lm, 1)}
+
+
 def test_rk45_parity_compares_every_integration_of_an_op(monkeypatch, capsys):
     """G336 seed 1 makes three integrations, the two matrix flows and the
     reduced flow, and each equals scipy's."""

@@ -21,9 +21,9 @@ runs the `verify` commands make (`schlesinger.flow_trajectory` and
 
 A sample the diagonal gauge refuses writes only its refusal.  Snapshots of
 two trees, made on the same machine, compare with `diff OLD NEW`: no line
-differs exactly when every float is bit for bit the same.  Prints the
-verdict counts to stderr.  `pool_ops` walks the pool; `tools/rk45_parity.py`
-walks it through the same generator.
+differs exactly when every float is bit for bit the same.  Prints each
+row's process time and the verdict counts to stderr.  `pool_ops` walks the
+pool; `tools/rk45_parity.py` walks it through the same generator.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -84,11 +85,16 @@ def snapshot_op(lm, residue_seed: int) -> dict:
 
 def pool_ops():
     """Yield (row, residue seed, `snapshot_op`) for each op of the pool, in
-    order, and print each row's end to stderr."""
+    order, and print each row's end to stderr with the process time its
+    ops took (the time the consumer spends between them not counted)."""
     for group, lm in workloads.table_lambda_mu().items():
+        cpu = 0.0
         for rs in workloads.ISO_POOL:
-            yield group, rs, snapshot_op(lm, rs)
-        print(f"{group}: done", file=sys.stderr, flush=True)
+            start = time.process_time()
+            op = snapshot_op(lm, rs)
+            cpu += time.process_time() - start
+            yield group, rs, op
+        print(f"{group}: done, {cpu:.3f} s process time", file=sys.stderr, flush=True)
 
 
 def main(argv=None) -> int:
